@@ -16,7 +16,8 @@ use specframe_core::{
     ControlSpec, FuncCache, OptOptions, PipelineConfig, PipelineHooks, ReduceStats, SpecSource,
 };
 use specframe_ir::display::print_module;
-use specframe_workloads::{all_workloads, inst_count, mega_module, Scale};
+use specframe_ir::parse_module;
+use specframe_workloads::{all_workloads, inst_count, mega_module, mega_source, Scale};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -78,6 +79,62 @@ fn mega_smoke() -> MegaRow {
         "mega-module: {} funcs / {} insts in {:.3} s ({:.0} funcs/sec, {:.0} insts/sec, \
          peak rss {} kB), jobs 1/2/4 byte-identical",
         row.funcs, row.insts, secs, row.funcs_per_sec, row.insts_per_sec, row.peak_rss_kb
+    );
+    row
+}
+
+/// IR text-layer throughput from the text smoke.
+struct TextRow {
+    funcs: usize,
+    source_bytes: usize,
+    printed_bytes: usize,
+    parse_mb_per_s: f64,
+    print_mb_per_s: f64,
+    nproc: usize,
+}
+
+/// Parses and prints the 10k-function mega text (the size the ROADMAP's
+/// whole-request numbers use), best of `ITERS` runs each: parse MB/s over
+/// the source bytes, print MB/s over the printed bytes. Asserts the round
+/// trip byte for byte: the printed text must parse and print to itself.
+fn text_smoke() -> TextRow {
+    const SEED: u64 = 42;
+    const FUNCS: usize = 10_000;
+    let src = mega_source(SEED, FUNCS);
+    let mut parse_s = f64::INFINITY;
+    let mut print_s = f64::INFINITY;
+    let mut printed = String::new();
+    for _ in 0..ITERS {
+        let t0 = Instant::now();
+        let m = parse_module(std::hint::black_box(&src)).expect("mega text parses");
+        parse_s = parse_s.min(t0.elapsed().as_secs_f64());
+        let t0 = Instant::now();
+        printed = print_module(std::hint::black_box(&m));
+        print_s = print_s.min(t0.elapsed().as_secs_f64());
+    }
+    let reprinted = print_module(&parse_module(&printed).expect("printed mega text parses"));
+    assert!(
+        reprinted == printed,
+        "mega text round trip is not byte-identical"
+    );
+    let mb = |bytes: usize, s: f64| bytes as f64 / 1e6 / s;
+    let row = TextRow {
+        funcs: FUNCS,
+        source_bytes: src.len(),
+        printed_bytes: printed.len(),
+        parse_mb_per_s: mb(src.len(), parse_s),
+        print_mb_per_s: mb(printed.len(), print_s),
+        nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+    };
+    println!(
+        "text: {} funcs, parse {:.1} MB/s over {} B, print {:.1} MB/s over {} B, \
+         round trip byte-identical (nproc {})",
+        row.funcs,
+        row.parse_mb_per_s,
+        row.source_bytes,
+        row.print_mb_per_s,
+        row.printed_bytes,
+        row.nproc
     );
     row
 }
@@ -618,6 +675,7 @@ fn main() {
     }
 
     let mega = mega_smoke();
+    let text = text_smoke();
     let cache = cache_smoke();
     let leaks = leaks_smoke();
     let targets = targets_smoke();
@@ -636,6 +694,18 @@ fn main() {
         "  \"mega\": {{ \"funcs\": {}, \"insts\": {}, \"funcs_per_sec\": {:.0}, \
          \"insts_per_sec\": {:.0}, \"peak_rss_kb\": {} }},",
         mega.funcs, mega.insts, mega.funcs_per_sec, mega.insts_per_sec, mega.peak_rss_kb
+    );
+    let _ = writeln!(
+        json,
+        "  \"text\": {{ \"funcs\": {}, \"source_bytes\": {}, \"printed_bytes\": {}, \
+         \"parse_mb_per_s\": {:.1}, \"print_mb_per_s\": {:.1}, \"round_trip_identical\": true, \
+         \"nproc\": {} }},",
+        text.funcs,
+        text.source_bytes,
+        text.printed_bytes,
+        text.parse_mb_per_s,
+        text.print_mb_per_s,
+        text.nproc
     );
     let _ = writeln!(
         json,

@@ -1,11 +1,14 @@
 //! Pretty printer.
 //!
 //! Output round-trips through [`crate::parse::parse_module`] up to site-id
-//! renumbering: `print(parse(print(m))) == print(m)`.
+//! renumbering: `print(parse(print(m))) == print(m)`, constants included
+//! (every `i64` and every finite `f64`). Everything is written straight
+//! into the caller's buffer.
 
 use crate::function::{Function, Global, Module};
+use crate::ids::VarId;
 use crate::inst::{Inst, Operand, Terminator};
-use crate::types::Value;
+use crate::types::{Ty, Value};
 use core::fmt::Write;
 
 /// Renders a whole module in the textual IR syntax.
@@ -19,7 +22,11 @@ pub fn print_module(m: &Module) -> String {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                print_value(&mut out, *v);
+                match *v {
+                    Value::I(x) => write!(out, "{x}").unwrap(),
+                    Value::F(x) => float(&mut out, x, g.ty == Ty::F64),
+                    Value::Nat => out.push_str("NaT"),
+                }
             }
             out.push(']');
         }
@@ -44,17 +51,22 @@ pub fn func_name_table(m: &Module) -> Vec<String> {
     m.funcs.iter().map(|f| f.name.clone()).collect()
 }
 
-fn print_value(out: &mut String, v: Value) {
-    match v {
-        Value::I(x) => write!(out, "{x}").unwrap(),
-        Value::F(x) => {
-            if x.fract() == 0.0 && x.is_finite() && x.abs() < 1e15 {
-                write!(out, "{x:.1}").unwrap()
-            } else {
-                write!(out, "{x}").unwrap()
-            }
+/// Writes an `f64` constant so that it reads back as the same `f64`.
+/// Integral values below 1e15 print as `1.0`; larger ones in `{:?}` form
+/// (`1000000000000000.0`, `1e16`), which the lexer reads as a float. In an
+/// `f64` global's initializer (`int_ok`) an integer literal reads back
+/// exactly below 2^63, so there they keep their plain-integer spelling.
+fn float(out: &mut String, x: f64, int_ok: bool) {
+    if x.fract() == 0.0 && x.is_finite() {
+        if x.abs() < 1e15 {
+            write!(out, "{x:.1}").unwrap()
+        } else if int_ok && x.abs() < 9_223_372_036_854_775_808.0 {
+            write!(out, "{x}").unwrap()
+        } else {
+            write!(out, "{x:?}").unwrap()
         }
-        Value::Nat => out.push_str("NaT"),
+    } else {
+        write!(out, "{x}").unwrap()
     }
 }
 
@@ -92,7 +104,8 @@ pub fn print_function_in(
         writeln!(out, "  slot {}: {}[{}]", s.name, s.ty, s.words).unwrap();
     }
     for b in &f.blocks {
-        writeln!(out, "{}:", b.name).unwrap();
+        out.push_str(&b.name);
+        out.push_str(":\n");
         for inst in &b.insts {
             out.push_str("  ");
             print_inst(out, globals, func_names, f, inst);
@@ -105,31 +118,37 @@ pub fn print_function_in(
     out.push_str("}\n");
 }
 
-fn opnd(globals: &[Global], f: &Function, o: Operand) -> String {
+fn opnd(out: &mut String, globals: &[Global], f: &Function, o: Operand) {
     match o {
-        Operand::Var(v) => f.vars[v.index()].name.clone(),
-        Operand::ConstI(c) => format!("{c}"),
-        Operand::ConstF(c) => {
-            if c.fract() == 0.0 && c.is_finite() && c.abs() < 1e15 {
-                format!("{c:.1}")
-            } else {
-                format!("{c}")
-            }
+        Operand::Var(v) => out.push_str(&f.vars[v.index()].name),
+        Operand::ConstI(c) => write!(out, "{c}").unwrap(),
+        Operand::ConstF(c) => float(out, c, false),
+        Operand::GlobalAddr(g) => {
+            out.push('@');
+            out.push_str(&globals[g.index()].name);
         }
-        Operand::GlobalAddr(g) => format!("@{}", globals[g.index()].name),
-        Operand::SlotAddr(s) => format!("&{}", f.slots[s.index()].name),
+        Operand::SlotAddr(s) => {
+            out.push('&');
+            out.push_str(&f.slots[s.index()].name);
+        }
     }
 }
 
-fn addr(globals: &[Global], f: &Function, base: Operand, offset: i64) -> String {
-    let b = opnd(globals, f, base);
-    if offset == 0 {
-        format!("[{b}]")
-    } else if offset > 0 {
-        format!("[{b} + {offset}]")
-    } else {
-        format!("[{b} - {}]", -offset)
+/// Writes `[base]`, `[base + off]` or `[base - off]`.
+fn addr(out: &mut String, globals: &[Global], f: &Function, base: Operand, offset: i64) {
+    out.push('[');
+    opnd(out, globals, f, base);
+    if offset != 0 {
+        let sign = if offset > 0 { '+' } else { '-' };
+        write!(out, " {sign} {}", offset.unsigned_abs()).unwrap();
     }
+    out.push(']');
+}
+
+/// Writes `dst = `.
+fn assign(out: &mut String, f: &Function, dst: VarId) {
+    out.push_str(&f.vars[dst.index()].name);
+    out.push_str(" = ");
 }
 
 fn print_inst(
@@ -139,22 +158,24 @@ fn print_inst(
     f: &Function,
     inst: &Inst,
 ) {
-    let vname = |v: crate::ids::VarId| f.vars[v.index()].name.clone();
     match inst {
-        Inst::Bin { dst, op, a, b } => write!(
-            out,
-            "{} = {} {}, {}",
-            vname(*dst),
-            op,
-            opnd(globals, f, *a),
-            opnd(globals, f, *b)
-        )
-        .unwrap(),
+        Inst::Bin { dst, op, a, b } => {
+            assign(out, f, *dst);
+            out.push_str(op.mnemonic());
+            out.push(' ');
+            opnd(out, globals, f, *a);
+            out.push_str(", ");
+            opnd(out, globals, f, *b);
+        }
         Inst::Un { dst, op, a } => {
-            write!(out, "{} = {} {}", vname(*dst), op, opnd(globals, f, *a)).unwrap()
+            assign(out, f, *dst);
+            out.push_str(op.mnemonic());
+            out.push(' ');
+            opnd(out, globals, f, *a);
         }
         Inst::Copy { dst, src } => {
-            write!(out, "{} = {}", vname(*dst), opnd(globals, f, *src)).unwrap()
+            assign(out, f, *dst);
+            opnd(out, globals, f, *src);
         }
         Inst::Load {
             dst,
@@ -163,29 +184,23 @@ fn print_inst(
             ty,
             spec,
             ..
-        } => write!(
-            out,
-            "{} = load{}.{} {}",
-            vname(*dst),
-            spec.suffix(),
-            ty,
-            addr(globals, f, *base, *offset)
-        )
-        .unwrap(),
+        } => {
+            assign(out, f, *dst);
+            write!(out, "load{}.{ty} ", spec.suffix()).unwrap();
+            addr(out, globals, f, *base, *offset);
+        }
         Inst::Store {
             base,
             offset,
             val,
             ty,
             ..
-        } => write!(
-            out,
-            "store.{} {}, {}",
-            ty,
-            addr(globals, f, *base, *offset),
-            opnd(globals, f, *val)
-        )
-        .unwrap(),
+        } => {
+            write!(out, "store.{ty} ").unwrap();
+            addr(out, globals, f, *base, *offset);
+            out.push_str(", ");
+            opnd(out, globals, f, *val);
+        }
         Inst::CheckLoad {
             dst,
             base,
@@ -193,63 +208,61 @@ fn print_inst(
             ty,
             kind,
             ..
-        } => write!(
-            out,
-            "{} = {}.{} {}",
-            vname(*dst),
-            kind.mnemonic(),
-            ty,
-            addr(globals, f, *base, *offset)
-        )
-        .unwrap(),
+        } => {
+            assign(out, f, *dst);
+            write!(out, "{}.{ty} ", kind.mnemonic()).unwrap();
+            addr(out, globals, f, *base, *offset);
+        }
         Inst::Call {
             dst, callee, args, ..
         } => {
             if let Some(d) = dst {
-                write!(out, "{} = ", vname(*d)).unwrap();
+                assign(out, f, *d);
             }
-            write!(out, "call {}(", func_names[callee.index()]).unwrap();
+            out.push_str("call ");
+            out.push_str(&func_names[callee.index()]);
+            out.push('(');
             for (i, a) in args.iter().enumerate() {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                out.push_str(&opnd(globals, f, *a));
+                opnd(out, globals, f, *a);
             }
             out.push(')');
         }
         Inst::Alloc { dst, words, .. } => {
-            write!(out, "{} = alloc {}", vname(*dst), opnd(globals, f, *words)).unwrap()
+            assign(out, f, *dst);
+            out.push_str("alloc ");
+            opnd(out, globals, f, *words);
         }
     }
 }
 
 fn print_term(out: &mut String, f: &Function, t: &Terminator) {
+    let block = |b: crate::ids::BlockId| &f.blocks[b.index()].name;
     match t {
-        Terminator::Jump(b) => write!(out, "jmp {}", f.blocks[b.index()].name).unwrap(),
+        Terminator::Jump(b) => {
+            out.push_str("jmp ");
+            out.push_str(block(*b));
+        }
         Terminator::Br { cond, then_, else_ } => {
-            let c = match cond {
-                Operand::Var(v) => f.vars[v.index()].name.clone(),
-                Operand::ConstI(c) => format!("{c}"),
+            out.push_str("br ");
+            match cond {
+                Operand::Var(v) => out.push_str(&f.vars[v.index()].name),
+                Operand::ConstI(c) => write!(out, "{c}").unwrap(),
                 _ => unreachable!("br condition must be var or int const"),
-            };
-            write!(
-                out,
-                "br {}, {}, {}",
-                c,
-                f.blocks[then_.index()].name,
-                f.blocks[else_.index()].name
-            )
-            .unwrap()
+            }
+            write!(out, ", {}, {}", block(*then_), block(*else_)).unwrap();
         }
         Terminator::Ret(None) => out.push_str("ret"),
         Terminator::Ret(Some(v)) => {
-            let s = match v {
-                Operand::Var(x) => f.vars[x.index()].name.clone(),
-                Operand::ConstI(c) => format!("{c}"),
-                Operand::ConstF(c) => format!("{c:?}"),
+            out.push_str("ret ");
+            match v {
+                Operand::Var(x) => out.push_str(&f.vars[x.index()].name),
+                Operand::ConstI(c) => write!(out, "{c}").unwrap(),
+                Operand::ConstF(c) => write!(out, "{c:?}").unwrap(),
                 _ => unreachable!("ret value must be var or const"),
-            };
-            write!(out, "ret {s}").unwrap()
+            }
         }
     }
 }

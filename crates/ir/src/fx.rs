@@ -1,12 +1,16 @@
 //! A deterministic, non-cryptographic hasher for compiler-internal maps.
 //!
 //! `std`'s default `RandomState` (SipHash-1-3 with a per-process random
-//! key) is the right default against untrusted input, but every map in
-//! this workspace is keyed by compiler-internal ids — dense integers and
-//! small structs an adversary never controls. For those, the multiply-
-//! rotate scheme used by Firefox (and rustc) is several times faster per
-//! lookup. The build environment is offline, so the `rustc-hash` crate is
-//! reimplemented here in its entirety — it is ~20 lines.
+//! key) is the right default against untrusted input, but almost every
+//! map in this workspace is keyed by compiler-internal ids — dense
+//! integers and small structs an adversary never controls. For those, the
+//! multiply-rotate scheme used by Firefox (and rustc) is several times
+//! faster per lookup. The build environment is offline, so the `rustc-hash`
+//! crate is reimplemented here in its entirety — it is ~20 lines.
+//!
+//! The exception is the text parser's name tables, keyed by names from the
+//! input. Keys crafted to collide degrade a lookup there to a linear probe,
+//! no worse than the linear name scans those tables replaced.
 //!
 //! Determinism note: hash-iteration order still must never leak into
 //! output (the driver's byte-identical `--jobs` contract). That rule
@@ -39,16 +43,23 @@ impl FxHasher {
 
 impl Hasher for FxHasher {
     #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.add_to_hash(u64::from_le_bytes(c.try_into().unwrap()));
+    fn write(&mut self, mut bytes: &[u8]) {
+        // word, then half, quarter and byte tails, as rustc-hash does: no
+        // variable-length copy for the short strings names are
+        while let Some((w, rest)) = bytes.split_first_chunk::<8>() {
+            self.add_to_hash(u64::from_le_bytes(*w));
+            bytes = rest;
         }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut buf = [0u8; 8];
-            buf[..rem.len()].copy_from_slice(rem);
-            self.add_to_hash(u64::from_le_bytes(buf));
+        if let Some((w, rest)) = bytes.split_first_chunk::<4>() {
+            self.add_to_hash(u32::from_le_bytes(*w) as u64);
+            bytes = rest;
+        }
+        if let Some((w, rest)) = bytes.split_first_chunk::<2>() {
+            self.add_to_hash(u16::from_le_bytes(*w) as u64);
+            bytes = rest;
+        }
+        if let Some(&b) = bytes.first() {
+            self.add_to_hash(b as u64);
         }
     }
 

@@ -55,5 +55,5 @@ pub use fx::{FxHashMap, FxHashSet, FxHasher};
 pub use ids::{AllocSiteId, BlockId, CallSiteId, FuncId, GlobalId, MemSiteId, SlotId, VarId};
 pub use inst::{BinOp, CheckKind, Inst, LoadSpec, Operand, Terminator, UnOp};
 pub use parse::{parse_module, ParseError};
-pub use types::{Ty, Value};
+pub use types::{Ty, Value, WordMem};
 pub use verify::{verify_function_in, verify_module, CalleeSig, VerifyError};

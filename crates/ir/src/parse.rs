@@ -20,12 +20,18 @@
 //!
 //! Comments run from `#` to end of line. Site ids are assigned fresh in
 //! textual order.
+//!
+//! Cost is linear in the input. Tokens are slices of the source, lexed on
+//! demand with two tokens of lookahead, and every name resolves through a
+//! hash table keyed by those slices. Pass 1 reads the globals and function
+//! headers and skips each body with a byte scan to its closing `}`; pass 2
+//! parses each body from where pass 1 found it.
 
 use crate::function::{Function, Global, Module, SlotDecl, VarDecl};
-use crate::ids::{BlockId, FuncId, VarId};
+use crate::fx::FxHashMap;
+use crate::ids::{BlockId, FuncId, GlobalId, SlotId, VarId};
 use crate::inst::{BinOp, CheckKind, Inst, LoadSpec, Operand, Terminator, UnOp};
 use crate::types::{Ty, Value};
-use std::collections::HashMap;
 
 /// A parse failure, with a 1-based source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,145 +50,180 @@ impl core::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
-    Int(i64),
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tok<'a> {
+    Ident(&'a str),
+    /// An integer literal's magnitude. `-` is a token of its own, so the
+    /// lexer admits `2^63`, which only fits an `i64` once negated.
+    Int(u64),
     Float(f64),
     Punct(char),
     Arrow,
 }
 
-#[derive(Debug, Clone)]
-struct SpannedTok {
-    tok: Tok,
-    line: u32,
-}
-
-fn lex(src: &str) -> Result<Vec<SpannedTok>, ParseError> {
-    let mut toks = Vec::new();
-    let mut line = 1u32;
-    let bytes = src.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        match c {
-            '\n' => {
-                line += 1;
-                i += 1;
-            }
-            ' ' | '\t' | '\r' => i += 1,
-            '#' => {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
-            }
-            '-' if i + 1 < bytes.len() && bytes[i + 1] == b'>' => {
-                toks.push(SpannedTok {
-                    tok: Tok::Arrow,
-                    line,
-                });
-                i += 2;
-            }
-            '(' | ')' | '{' | '}' | '[' | ']' | ',' | ':' | '@' | '&' | '=' | '+' | '-' => {
-                toks.push(SpannedTok {
-                    tok: Tok::Punct(c),
-                    line,
-                });
-                i += 1;
-            }
-            c if c.is_ascii_digit() => {
-                let start = i;
-                let mut is_float = false;
-                while i < bytes.len() {
-                    let d = bytes[i] as char;
-                    if d.is_ascii_digit() {
-                        i += 1;
-                    } else if d == '.'
-                        && i + 1 < bytes.len()
-                        && (bytes[i + 1] as char).is_ascii_digit()
-                    {
-                        is_float = true;
-                        i += 1;
-                    } else if (d == 'e' || d == 'E')
-                        && i + 1 < bytes.len()
-                        && ((bytes[i + 1] as char).is_ascii_digit()
-                            || bytes[i + 1] == b'-'
-                            || bytes[i + 1] == b'+')
-                    {
-                        is_float = true;
-                        i += 2;
-                    } else {
-                        break;
-                    }
-                }
-                let text = &src[start..i];
-                let tok = if is_float {
-                    Tok::Float(text.parse().map_err(|_| ParseError {
-                        line,
-                        msg: format!("bad float literal `{text}`"),
-                    })?)
-                } else {
-                    Tok::Int(text.parse().map_err(|_| ParseError {
-                        line,
-                        msg: format!("bad int literal `{text}`"),
-                    })?)
-                };
-                toks.push(SpannedTok { tok, line });
-            }
-            c if c.is_ascii_alphabetic() || c == '_' || c == '.' => {
-                let start = i;
-                while i < bytes.len() {
-                    let d = bytes[i] as char;
-                    if d.is_ascii_alphanumeric() || d == '_' || d == '.' {
-                        i += 1;
-                    } else {
-                        break;
-                    }
-                }
-                toks.push(SpannedTok {
-                    tok: Tok::Ident(src[start..i].to_string()),
-                    line,
-                });
-            }
-            other => {
-                return Err(ParseError {
-                    line,
-                    msg: format!("unexpected character `{other}`"),
-                })
-            }
-        }
-    }
-    Ok(toks)
-}
-
-struct Parser {
-    toks: Vec<SpannedTok>,
+/// Streaming lexer: yields one token at a time, borrowed from the source.
+struct Lexer<'a> {
+    src: &'a str,
     pos: usize,
+    line: u32,
+    /// Byte offset of the token last returned.
+    tok_start: usize,
+    /// The first lexical error; the lexer yields nothing after it.
+    err: Option<ParseError>,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|t| &t.tok)
+impl<'a> Lexer<'a> {
+    /// The next token and its line; `None` at the end or after an error.
+    fn next(&mut self) -> Option<(Tok<'a>, u32)> {
+        let bytes = self.src.as_bytes();
+        while let Some(&b) = bytes.get(self.pos) {
+            let start = self.pos;
+            self.pos += 1;
+            let tok = match b {
+                b'\n' => {
+                    self.line += 1;
+                    continue;
+                }
+                b' ' | b'\t' | b'\r' => continue,
+                b'#' => {
+                    self.pos = bytes[start..]
+                        .iter()
+                        .position(|&c| c == b'\n')
+                        .map_or(bytes.len(), |n| start + n);
+                    continue;
+                }
+                b'-' if bytes.get(self.pos) == Some(&b'>') => {
+                    self.pos += 1;
+                    Tok::Arrow
+                }
+                b'(' | b')' | b'{' | b'}' | b'[' | b']' | b',' | b':' | b'@' | b'&' | b'='
+                | b'+' | b'-' => Tok::Punct(b as char),
+                b'0'..=b'9' => self.number(start)?,
+                b if b.is_ascii_alphabetic() || b == b'_' || b == b'.' => {
+                    let word = |c: &&u8| c.is_ascii_alphanumeric() || **c == b'_' || **c == b'.';
+                    self.pos += bytes[self.pos..].iter().take_while(word).count();
+                    Tok::Ident(&self.src[start..self.pos])
+                }
+                other => {
+                    return self.fail(format!("unexpected character `{}`", other as char));
+                }
+            };
+            self.tok_start = start;
+            return Some((tok, self.line));
+        }
+        None
     }
 
-    fn line(&self) -> u32 {
-        self.toks
-            .get(self.pos.min(self.toks.len().saturating_sub(1)))
-            .map_or(0, |t| t.line)
-    }
-
-    fn err(&self, msg: impl Into<String>) -> ParseError {
-        ParseError {
-            line: self.line(),
-            msg: msg.into(),
+    /// Lexes the numeric literal starting at `start`.
+    fn number(&mut self, start: usize) -> Option<Tok<'a>> {
+        let bytes = self.src.as_bytes();
+        let digit_at = |i: usize| bytes.get(i).is_some_and(u8::is_ascii_digit);
+        let mut is_float = false;
+        let mut i = start;
+        while let Some(&d) = bytes.get(i) {
+            if d.is_ascii_digit() {
+                i += 1;
+            } else if d == b'.' && digit_at(i + 1) {
+                is_float = true;
+                i += 1;
+            } else if (d == b'e' || d == b'E')
+                && (digit_at(i + 1) || matches!(bytes.get(i + 1), Some(b'-' | b'+')))
+            {
+                is_float = true;
+                i += 2;
+            } else {
+                break;
+            }
+        }
+        self.pos = i;
+        let text = &self.src[start..i];
+        if is_float {
+            match text.parse() {
+                Ok(v) => Some(Tok::Float(v)),
+                Err(_) => self.fail(format!("bad float literal `{text}`")),
+            }
+        } else {
+            match text.parse::<u64>() {
+                Ok(v) if v <= 1 << 63 => Some(Tok::Int(v)),
+                _ => self.fail(format!("bad int literal `{text}`")),
+            }
         }
     }
 
-    fn next(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).map(|t| t.tok.clone());
-        self.pos += 1;
+    fn fail<T>(&mut self, msg: String) -> Option<T> {
+        self.err = Some(ParseError {
+            line: self.line,
+            msg,
+        });
+        self.pos = self.src.len();
+        None
+    }
+}
+
+struct Parser<'a> {
+    lex: Lexer<'a>,
+    /// The next unconsumed token, lexed eagerly; `None` at the end.
+    tok: Option<Tok<'a>>,
+    /// Its line, or at the end the last token's line: where errors point.
+    line: u32,
+    /// The token after `tok`, once something looked that far.
+    second: Option<(Option<Tok<'a>>, u32)>,
+}
+
+impl<'a> Parser<'a> {
+    /// A parser starting at byte `pos` of `src`, which is on `line`.
+    fn new(src: &'a str, pos: usize, line: u32) -> Self {
+        let lex = Lexer {
+            src,
+            pos,
+            line,
+            tok_start: pos,
+            err: None,
+        };
+        let mut p = Parser {
+            lex,
+            tok: None,
+            line,
+            second: None,
+        };
+        p.next();
+        p
+    }
+
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.tok
+    }
+
+    /// The token after the next one.
+    fn peek2(&mut self) -> Option<Tok<'a>> {
+        let line = self.line;
+        let lex = &mut self.lex;
+        self.second
+            .get_or_insert_with(|| lex.next().map_or((None, line), |(t, l)| (Some(t), l)))
+            .0
+    }
+
+    fn next(&mut self) -> Option<Tok<'a>> {
+        let t = self.tok;
+        let (tok, line) = match self.second.take() {
+            Some(s) => s,
+            None => self
+                .lex
+                .next()
+                .map_or((None, self.line), |(t, l)| (Some(t), l)),
+        };
+        self.tok = tok;
+        self.line = line;
         t
+    }
+
+    /// An error at the next unconsumed token; a lexical error found on the
+    /// way there wins, since it cut the parser's input short.
+    fn err(&self, msg: impl Into<String>) -> ParseError {
+        self.lex.err.clone().unwrap_or(ParseError {
+            line: self.line,
+            msg: msg.into(),
+        })
     }
 
     fn expect_punct(&mut self, c: char) -> Result<(), ParseError> {
@@ -193,15 +234,14 @@ impl Parser {
     }
 
     fn eat_punct(&mut self, c: char) -> bool {
-        if self.peek() == Some(&Tok::Punct(c)) {
-            self.pos += 1;
-            true
-        } else {
-            false
+        let hit = self.peek() == Some(Tok::Punct(c));
+        if hit {
+            self.next();
         }
+        hit
     }
 
-    fn ident(&mut self) -> Result<String, ParseError> {
+    fn ident(&mut self) -> Result<&'a str, ParseError> {
         match self.next() {
             Some(Tok::Ident(s)) => Ok(s),
             other => Err(self.err(format!("expected identifier, found {other:?}"))),
@@ -210,293 +250,306 @@ impl Parser {
 
     fn ty(&mut self) -> Result<Ty, ParseError> {
         let s = self.ident()?;
-        match s.as_str() {
-            "i64" => Ok(Ty::I64),
-            "f64" => Ok(Ty::F64),
-            "ptr" => Ok(Ty::Ptr),
-            _ => Err(self.err(format!("unknown type `{s}`"))),
-        }
+        ty_by_name(s).ok_or_else(|| self.err(format!("unknown type `{s}`")))
     }
 
-    fn int(&mut self) -> Result<i64, ParseError> {
-        let neg = self.eat_punct('-');
+    /// An integer with an optional `-`, negated once more if `neg`.
+    fn int(&mut self, neg: bool) -> Result<i64, ParseError> {
+        let neg = neg ^ self.eat_punct('-');
         match self.next() {
-            Some(Tok::Int(v)) => Ok(if neg { -v } else { v }),
+            Some(Tok::Int(v)) => self.signed(v, neg),
             other => Err(self.err(format!("expected integer, found {other:?}"))),
         }
     }
+
+    /// The `i64` a literal's magnitude and sign spell.
+    fn signed(&self, v: u64, neg: bool) -> Result<i64, ParseError> {
+        if neg {
+            Ok((v as i64).wrapping_neg())
+        } else {
+            i64::try_from(v).map_err(|_| self.err(format!("bad int literal `{v}`")))
+        }
+    }
+
+    /// A declared size, `[` INT `]`, which must fit a `u32`.
+    fn size(&mut self, what: &str) -> Result<u32, ParseError> {
+        self.expect_punct('[')?;
+        let n = self.int(false)?;
+        let words = match u32::try_from(n) {
+            Ok(w) => w,
+            Err(_) if n < 0 => return Err(self.err(format!("negative {what} size"))),
+            Err(_) => {
+                return Err(self.err(format!("{what} size {n} exceeds {}", u32::MAX)));
+            }
+        };
+        self.expect_punct(']')?;
+        Ok(words)
+    }
+
+    /// Skips a function body whose `{` was just consumed, with a byte scan
+    /// to the matching `}` (`#` comments may hold braces), and returns
+    /// where the body starts: the byte offset and line of its first token.
+    fn skip_body(&mut self) -> Result<(usize, u32), ParseError> {
+        debug_assert!(self.second.is_none(), "headers look one token ahead");
+        if self.tok.is_none() {
+            return Err(self.err("unterminated function body"));
+        }
+        let start = (self.lex.tok_start, self.line);
+        let body = &self.lex.src.as_bytes()[start.0..];
+        let (mut i, mut depth) = (0, 1u32);
+        while let Some(n) = body[i..]
+            .iter()
+            .position(|b| matches!(b, b'{' | b'}' | b'#'))
+        {
+            i += n;
+            match body[i] {
+                b'#' => {
+                    i += body[i..]
+                        .iter()
+                        .position(|&c| c == b'\n')
+                        .unwrap_or(body.len() - i);
+                    continue;
+                }
+                b'{' => depth += 1,
+                _ => depth -= 1,
+            }
+            i += 1;
+            if depth == 0 {
+                // resume lexing after the `}`, which is the last token seen
+                self.line = start.1 + body[..i].iter().filter(|&&c| c == b'\n').count() as u32;
+                self.lex.line = self.line;
+                self.lex.pos = start.0 + i;
+                self.next();
+                return Ok(start);
+            }
+        }
+        // Unterminated: lex the rest, so a lexical error in it, or else the
+        // line of the last token, is what gets reported.
+        let mut rest = Parser::new(self.lex.src, start.0, start.1);
+        while rest.next().is_some() {}
+        Err(rest.err("unterminated function body"))
+    }
 }
 
-struct FuncCtx {
-    vars: HashMap<String, VarId>,
-    slots: HashMap<String, crate::ids::SlotId>,
-    blocks: HashMap<String, BlockId>,
+/// Every name table the parser resolves against, keyed by source slices.
+/// The function-level tables are cleared and reused for each body.
+#[derive(Default)]
+struct Scope<'a> {
+    globals: FxHashMap<&'a str, GlobalId>,
+    funcs: FxHashMap<&'a str, FuncId>,
+    vars: FxHashMap<&'a str, VarId>,
+    slots: FxHashMap<&'a str, SlotId>,
+    blocks: FxHashMap<&'a str, BlockId>,
+    /// Terminators waiting for the labels of the whole body.
+    pending: Vec<(BlockId, PendingTerm<'a>)>,
+}
+
+/// Resolves `name` in one of the scope's tables.
+fn lookup<'a, T: Copy>(
+    p: &Parser<'a>,
+    table: &FxHashMap<&'a str, T>,
+    name: &str,
+    kind: &str,
+) -> Result<T, ParseError> {
+    table
+        .get(name)
+        .copied()
+        .ok_or_else(|| p.err(format!("unknown {kind} `{name}`")))
 }
 
 /// Parses a whole module from its textual form.
 ///
 /// # Errors
-/// Returns a [`ParseError`] with the offending line on malformed input or
-/// unresolved names.
+/// Returns a [`ParseError`] with the offending line on malformed input,
+/// unresolved names, or a slot or global size outside `0..=u32::MAX`.
 pub fn parse_module(src: &str) -> Result<Module, ParseError> {
-    let toks = lex(src)?;
     let mut module = Module::new();
-
-    // Pass 1: collect global declarations and function signatures so that
-    // forward references (calls, @globals) resolve.
-    {
-        let mut p = Parser {
-            toks: toks.clone(),
-            pos: 0,
-        };
-        while let Some(t) = p.peek() {
-            match t {
-                Tok::Ident(k) if k == "global" => {
-                    p.next();
-                    let name = p.ident()?;
-                    p.expect_punct(':')?;
-                    let ty = p.ty()?;
-                    p.expect_punct('[')?;
-                    let words = p.int()?;
-                    if words < 0 {
-                        return Err(p.err("negative global size"));
-                    }
-                    p.expect_punct(']')?;
-                    let mut init = Vec::new();
-                    if p.eat_punct('=') {
-                        p.expect_punct('[')?;
-                        if !p.eat_punct(']') {
-                            loop {
-                                let neg = p.eat_punct('-');
-                                let v = match p.next() {
-                                    Some(Tok::Int(v)) => {
-                                        if ty == Ty::F64 {
-                                            Value::F(if neg { -(v as f64) } else { v as f64 })
-                                        } else {
-                                            Value::I(if neg { -v } else { v })
-                                        }
-                                    }
-                                    Some(Tok::Float(v)) => Value::F(if neg { -v } else { v }),
-                                    other => {
-                                        return Err(
-                                            p.err(format!("expected value, found {other:?}"))
-                                        )
-                                    }
-                                };
-                                init.push(v);
-                                if !p.eat_punct(',') {
-                                    break;
-                                }
-                            }
-                            p.expect_punct(']')?;
-                        }
-                    }
-                    if init.len() > words as usize {
-                        return Err(p.err("initializer longer than global"));
-                    }
-                    if module.global_by_name(&name).is_some() {
-                        return Err(p.err(format!("duplicate global `{name}`")));
-                    }
-                    module.globals.push(Global {
-                        name,
-                        words: words as u32,
-                        ty,
-                        init,
-                    });
-                }
-                Tok::Ident(k) if k == "func" => {
-                    p.next();
-                    let name = p.ident()?;
-                    p.expect_punct('(')?;
-                    let mut params = Vec::new();
-                    if !p.eat_punct(')') {
-                        loop {
-                            let pn = p.ident()?;
-                            p.expect_punct(':')?;
-                            let pt = p.ty()?;
-                            params.push((pn, pt));
-                            if !p.eat_punct(',') {
-                                break;
-                            }
-                        }
-                        p.expect_punct(')')?;
-                    }
-                    let ret_ty = if p.peek() == Some(&Tok::Arrow) {
-                        p.next();
-                        Some(p.ty()?)
-                    } else {
-                        None
-                    };
-                    p.expect_punct('{')?;
-                    let mut depth = 1;
-                    while depth > 0 {
-                        match p.next() {
-                            Some(Tok::Punct('{')) => depth += 1,
-                            Some(Tok::Punct('}')) => depth -= 1,
-                            Some(_) => {}
-                            None => return Err(p.err("unterminated function body")),
-                        }
-                    }
-                    if module.func_by_name(&name).is_some() {
-                        return Err(p.err(format!("duplicate function `{name}`")));
-                    }
-                    let vars = params
-                        .iter()
-                        .map(|(n, t)| VarDecl {
-                            name: n.clone(),
-                            ty: *t,
-                        })
-                        .collect();
-                    module.funcs.push(Function {
-                        name,
-                        params: params.len() as u32,
-                        ret_ty,
-                        vars,
-                        slots: Vec::new(),
-                        blocks: Vec::new(),
-                    });
-                }
-                _ => return Err(p.err("expected `global` or `func` at top level")),
-            }
-        }
-    }
-
-    // Pass 2: parse function bodies.
-    let mut p = Parser { toks, pos: 0 };
-    let mut fidx = 0usize;
+    let mut sc = Scope::default();
+    // pass 1: globals and function signatures, so forward references
+    // (calls, @globals) resolve; bodies are only located
+    let mut p = Parser::new(src, 0, 1);
+    let mut bodies = Vec::new();
+    let mut params = Vec::new();
     while let Some(t) = p.peek() {
-        match t.clone() {
-            Tok::Ident(k) if k == "global" => {
-                skip_global_decl(&mut p)?;
+        match t {
+            Tok::Ident("global") => {
+                p.next();
+                let (name, global) = parse_global(&mut p)?;
+                let id = GlobalId::from_index(module.globals.len());
+                if sc.globals.insert(name, id).is_some() {
+                    return Err(p.err(format!("duplicate global `{name}`")));
+                }
+                module.globals.push(global);
             }
-            Tok::Ident(k) if k == "func" => {
-                parse_func_body(&mut p, &mut module, FuncId::from_index(fidx))?;
-                fidx += 1;
+            Tok::Ident("func") => {
+                p.next();
+                let name = p.ident()?;
+                p.expect_punct('(')?;
+                let mut vars = Vec::new();
+                if !p.eat_punct(')') {
+                    loop {
+                        let pn = p.ident()?;
+                        p.expect_punct(':')?;
+                        let ty = p.ty()?;
+                        params.push(pn);
+                        vars.push(VarDecl {
+                            name: pn.to_string(),
+                            ty,
+                        });
+                        if !p.eat_punct(',') {
+                            break;
+                        }
+                    }
+                    p.expect_punct(')')?;
+                }
+                let ret_ty = if p.peek() == Some(Tok::Arrow) {
+                    p.next();
+                    Some(p.ty()?)
+                } else {
+                    None
+                };
+                p.expect_punct('{')?;
+                bodies.push(p.skip_body()?);
+                let id = FuncId::from_index(module.funcs.len());
+                if sc.funcs.insert(name, id).is_some() {
+                    return Err(p.err(format!("duplicate function `{name}`")));
+                }
+                module.funcs.push(Function {
+                    name: name.to_string(),
+                    params: vars.len() as u32,
+                    ret_ty,
+                    vars,
+                    slots: Vec::new(),
+                    blocks: Vec::new(),
+                });
             }
             _ => return Err(p.err("expected `global` or `func` at top level")),
         }
     }
+    if let Some(e) = p.lex.err {
+        return Err(e);
+    }
 
+    // pass 2: each body, from where pass 1 found it
+    let mut params = params.into_iter();
+    for (fi, (pos, line)) in bodies.into_iter().enumerate() {
+        sc.vars.clear();
+        sc.slots.clear();
+        sc.blocks.clear();
+        let nparams = module.funcs[fi].params as usize;
+        for (i, name) in params.by_ref().take(nparams).enumerate() {
+            sc.vars.insert(name, VarId::from_index(i));
+        }
+        let mut p = Parser::new(src, pos, line);
+        parse_body(&mut p, &mut module, FuncId::from_index(fi), &mut sc)?;
+    }
     Ok(module)
 }
 
-/// Skips one `global` declaration (pass 2 re-walk; pass 1 already parsed it).
-fn skip_global_decl(p: &mut Parser) -> Result<(), ParseError> {
-    p.next(); // `global`
-    p.ident()?;
+/// One `global` declaration after its keyword; returns its name too.
+fn parse_global<'a>(p: &mut Parser<'a>) -> Result<(&'a str, Global), ParseError> {
+    let name = p.ident()?;
     p.expect_punct(':')?;
-    p.ty()?;
-    p.expect_punct('[')?;
-    p.int()?;
-    p.expect_punct(']')?;
+    let ty = p.ty()?;
+    let words = p.size("global")?;
+    let mut init = Vec::new();
     if p.eat_punct('=') {
         p.expect_punct('[')?;
-        while !p.eat_punct(']') {
-            if p.next().is_none() {
-                return Err(p.err("unterminated global initializer"));
+        if !p.eat_punct(']') {
+            loop {
+                let neg = p.eat_punct('-');
+                let v = match p.next() {
+                    Some(Tok::Int(v)) if ty == Ty::F64 => {
+                        Value::F(if neg { -(v as f64) } else { v as f64 })
+                    }
+                    Some(Tok::Int(v)) => Value::I(p.signed(v, neg)?),
+                    Some(Tok::Float(v)) => Value::F(if neg { -v } else { v }),
+                    other => return Err(p.err(format!("expected value, found {other:?}"))),
+                };
+                init.push(v);
+                if !p.eat_punct(',') {
+                    break;
+                }
             }
+            p.expect_punct(']')?;
         }
     }
-    Ok(())
+    if init.len() > words as usize {
+        return Err(p.err("initializer longer than global"));
+    }
+    let global = Global {
+        name: name.to_string(),
+        words,
+        ty,
+        init,
+    };
+    Ok((name, global))
 }
 
-fn parse_func_body(p: &mut Parser, module: &mut Module, fid: FuncId) -> Result<(), ParseError> {
-    // re-parse the header quickly
-    let kw = p.ident()?;
-    debug_assert_eq!(kw, "func");
-    let _name = p.ident()?;
-    p.expect_punct('(')?;
-    if !p.eat_punct(')') {
-        loop {
-            p.ident()?;
-            p.expect_punct(':')?;
-            p.ty()?;
-            if !p.eat_punct(',') {
-                break;
-            }
-        }
-        p.expect_punct(')')?;
-    }
-    if p.peek() == Some(&Tok::Arrow) {
-        p.next();
-        p.ty()?;
-    }
-    p.expect_punct('{')?;
-
-    let mut ctx = FuncCtx {
-        vars: HashMap::new(),
-        slots: HashMap::new(),
-        blocks: HashMap::new(),
-    };
-    for (i, d) in module.funcs[fid.index()].vars.iter().enumerate() {
-        ctx.vars.insert(d.name.clone(), VarId::from_index(i));
-    }
+/// Parses the body of function `fid`, from its first token through its `}`.
+fn parse_body<'a>(
+    p: &mut Parser<'a>,
+    module: &mut Module,
+    fid: FuncId,
+    sc: &mut Scope<'a>,
+) -> Result<(), ParseError> {
+    let fi = fid.index();
 
     // declarations
     loop {
         match p.peek() {
-            Some(Tok::Ident(k)) if k == "var" => {
+            Some(Tok::Ident("var")) => {
                 p.next();
                 let name = p.ident()?;
                 p.expect_punct(':')?;
                 let ty = p.ty()?;
-                if ctx.vars.contains_key(&name) {
+                if sc.vars.contains_key(name) {
                     return Err(p.err(format!("duplicate var `{name}`")));
                 }
-                let id = module.funcs[fid.index()].new_var(name.clone(), ty);
-                ctx.vars.insert(name, id);
+                let id = module.funcs[fi].new_var(name, ty);
+                sc.vars.insert(name, id);
             }
-            Some(Tok::Ident(k)) if k == "slot" => {
+            Some(Tok::Ident("slot")) => {
                 p.next();
                 let name = p.ident()?;
                 p.expect_punct(':')?;
                 let ty = p.ty()?;
-                p.expect_punct('[')?;
-                let words = p.int()?;
-                p.expect_punct(']')?;
-                if ctx.slots.contains_key(&name) {
+                let words = p.size("slot")?;
+                if sc.slots.contains_key(name) {
                     return Err(p.err(format!("duplicate slot `{name}`")));
                 }
-                let f = &mut module.funcs[fid.index()];
-                let id = crate::ids::SlotId::from_index(f.slots.len());
-                f.slots.push(SlotDecl {
-                    name: name.clone(),
-                    words: words as u32,
+                let slots = &mut module.funcs[fi].slots;
+                sc.slots.insert(name, SlotId::from_index(slots.len()));
+                slots.push(SlotDecl {
+                    name: name.to_string(),
+                    words,
                     ty,
                 });
-                ctx.slots.insert(name, id);
             }
             _ => break,
         }
     }
 
     // blocks; branch targets resolved afterwards via names
-    let mut pending_terms: Vec<(BlockId, PendingTerm)> = Vec::new();
     let mut cur: Option<BlockId> = None;
     let mut cur_terminated = false;
-
     loop {
-        match p.peek().cloned() {
+        match p.peek() {
             Some(Tok::Punct('}')) => {
                 p.next();
                 break;
             }
-            Some(Tok::Ident(name))
-                if p.toks.get(p.pos + 1).map(|t| &t.tok) == Some(&Tok::Punct(':')) =>
-            {
-                // new block label
-                if let Some(_b) = cur {
-                    if !cur_terminated {
-                        return Err(p.err("block falls through without terminator"));
-                    }
+            Some(Tok::Ident(name)) if p.peek2() == Some(Tok::Punct(':')) => {
+                if cur.is_some() && !cur_terminated {
+                    return Err(p.err("block falls through without terminator"));
                 }
                 p.next();
                 p.next();
-                if ctx.blocks.contains_key(&name) {
+                if sc.blocks.contains_key(name) {
                     return Err(p.err(format!("duplicate block `{name}`")));
                 }
-                let b = module.funcs[fid.index()].new_block(name.clone());
-                ctx.blocks.insert(name, b);
+                let b = module.funcs[fi].new_block(name);
+                sc.blocks.insert(name, b);
                 cur = Some(b);
                 cur_terminated = false;
             }
@@ -505,331 +558,252 @@ fn parse_func_body(p: &mut Parser, module: &mut Module, fid: FuncId) -> Result<(
                 if cur_terminated {
                     return Err(p.err("statement after block terminator"));
                 }
-                if let Some(pending) = parse_stmt(p, module, fid, &mut ctx, b)? {
-                    pending_terms.push((b, pending));
+                if let Some(pending) = parse_stmt(p, module, fid, sc, b)? {
+                    sc.pending.push((b, pending));
                     cur_terminated = true;
                 }
             }
             None => return Err(p.err("unterminated function body")),
         }
     }
-    if let Some(_b) = cur {
-        if !cur_terminated {
-            return Err(p.err("last block lacks a terminator"));
-        }
+    if cur.is_some() && !cur_terminated {
+        return Err(p.err("last block lacks a terminator"));
     }
-    if module.funcs[fid.index()].blocks.is_empty() {
+    if module.funcs[fi].blocks.is_empty() {
         return Err(p.err("function has no blocks"));
     }
 
     // resolve branch targets
-    for (b, pending) in pending_terms {
-        let term = pending.resolve(&ctx, p)?;
-        module.funcs[fid.index()].block_mut(b).term = term;
+    for (b, pending) in sc.pending.drain(..) {
+        let target = |name| lookup(p, &sc.blocks, name, "block");
+        let term = match pending {
+            PendingTerm::Jump(t) => Terminator::Jump(target(t)?),
+            PendingTerm::Br(cond, t, e) => Terminator::Br {
+                cond,
+                then_: target(t)?,
+                else_: target(e)?,
+            },
+            PendingTerm::Ret(v) => Terminator::Ret(v),
+        };
+        module.funcs[fi].block_mut(b).term = term;
     }
     Ok(())
 }
 
-enum PendingTerm {
-    Jump(String),
-    Br(Operand, String, String),
+enum PendingTerm<'a> {
+    Jump(&'a str),
+    Br(Operand, &'a str, &'a str),
     Ret(Option<Operand>),
 }
 
-impl PendingTerm {
-    fn resolve(self, ctx: &FuncCtx, p: &Parser) -> Result<Terminator, ParseError> {
-        let look = |n: &str| {
-            ctx.blocks
-                .get(n)
-                .copied()
-                .ok_or_else(|| p.err(format!("unknown block `{n}`")))
-        };
-        Ok(match self {
-            PendingTerm::Jump(t) => Terminator::Jump(look(&t)?),
-            PendingTerm::Br(c, t, e) => Terminator::Br {
-                cond: c,
-                then_: look(&t)?,
-                else_: look(&e)?,
-            },
-            PendingTerm::Ret(v) => Terminator::Ret(v),
-        })
-    }
-}
-
-fn parse_operand(p: &mut Parser, module: &Module, ctx: &FuncCtx) -> Result<Operand, ParseError> {
+fn parse_operand<'a>(p: &mut Parser<'a>, sc: &Scope<'a>) -> Result<Operand, ParseError> {
     match p.next() {
-        Some(Tok::Ident(n)) => ctx
-            .vars
-            .get(&n)
-            .copied()
-            .map(Operand::Var)
-            .ok_or_else(|| p.err(format!("unknown var `{n}`"))),
-        Some(Tok::Int(v)) => Ok(Operand::ConstI(v)),
+        Some(Tok::Ident(n)) => lookup(p, &sc.vars, n, "var").map(Operand::Var),
+        Some(Tok::Int(v)) => p.signed(v, false).map(Operand::ConstI),
         Some(Tok::Float(v)) => Ok(Operand::ConstF(v)),
         Some(Tok::Punct('-')) => match p.next() {
-            Some(Tok::Int(v)) => Ok(Operand::ConstI(-v)),
+            Some(Tok::Int(v)) => p.signed(v, true).map(Operand::ConstI),
             Some(Tok::Float(v)) => Ok(Operand::ConstF(-v)),
             other => Err(p.err(format!("expected literal after `-`, found {other:?}"))),
         },
         Some(Tok::Punct('@')) => {
             let n = p.ident()?;
-            module
-                .global_by_name(&n)
-                .map(Operand::GlobalAddr)
-                .ok_or_else(|| p.err(format!("unknown global `{n}`")))
+            lookup(p, &sc.globals, n, "global").map(Operand::GlobalAddr)
         }
         Some(Tok::Punct('&')) => {
             let n = p.ident()?;
-            ctx.slots
-                .get(&n)
-                .copied()
-                .map(Operand::SlotAddr)
-                .ok_or_else(|| p.err(format!("unknown slot `{n}`")))
+            lookup(p, &sc.slots, n, "slot").map(Operand::SlotAddr)
         }
         other => Err(p.err(format!("expected operand, found {other:?}"))),
     }
 }
 
-fn parse_addr(
-    p: &mut Parser,
-    module: &Module,
-    ctx: &FuncCtx,
-) -> Result<(Operand, i64), ParseError> {
+fn parse_addr<'a>(p: &mut Parser<'a>, sc: &Scope<'a>) -> Result<(Operand, i64), ParseError> {
     p.expect_punct('[')?;
-    let base = parse_operand(p, module, ctx)?;
+    let base = parse_operand(p, sc)?;
     let mut off = 0i64;
     if p.eat_punct('+') {
-        off = p.int()?;
+        off = p.int(false)?;
     } else if p.eat_punct('-') {
-        off = -p.int()?;
+        off = p.int(true)?;
     }
     p.expect_punct(']')?;
     Ok((base, off))
 }
 
-fn binop_by_name(s: &str) -> Option<BinOp> {
-    BinOp::ALL.iter().copied().find(|o| o.mnemonic() == s)
-}
+/// The memory-read mnemonics, each a prefix of `<prefix><ty>`. `load.a.`
+/// and `load.s.` come before `load.`, which is a prefix of both.
+const READS: [(&str, Read); 5] = [
+    ("load.a.", Read::Load(LoadSpec::Advanced)),
+    ("load.s.", Read::Load(LoadSpec::Speculative)),
+    ("load.", Read::Load(LoadSpec::Normal)),
+    ("ldc.", Read::Check(CheckKind::Alat)),
+    ("chks.", Read::Check(CheckKind::Nat)),
+];
 
-fn unop_by_name(s: &str) -> Option<UnOp> {
-    UnOp::ALL.iter().copied().find(|o| o.mnemonic() == s)
+#[derive(Clone, Copy)]
+enum Read {
+    Load(LoadSpec),
+    Check(CheckKind),
 }
 
 /// Parses one statement into block `b`; returns `Some` if it terminated the
 /// block.
-fn parse_stmt(
-    p: &mut Parser,
+fn parse_stmt<'a>(
+    p: &mut Parser<'a>,
     module: &mut Module,
     fid: FuncId,
-    ctx: &mut FuncCtx,
+    sc: &Scope<'a>,
     b: BlockId,
-) -> Result<Option<PendingTerm>, ParseError> {
+) -> Result<Option<PendingTerm<'a>>, ParseError> {
     let first = p.ident()?;
-    match first.as_str() {
-        "jmp" => {
-            let t = p.ident()?;
-            return Ok(Some(PendingTerm::Jump(t)));
-        }
+    let inst = match first {
+        "jmp" => return Ok(Some(PendingTerm::Jump(p.ident()?))),
         "br" => {
-            let c = parse_operand(p, module, ctx)?;
+            let c = parse_operand(p, sc)?;
             p.expect_punct(',')?;
             let t = p.ident()?;
             p.expect_punct(',')?;
-            let e = p.ident()?;
-            return Ok(Some(PendingTerm::Br(c, t, e)));
+            return Ok(Some(PendingTerm::Br(c, t, p.ident()?)));
         }
         "ret" => {
-            // `ret` may or may not carry a value; a value continues on the
-            // same conceptual line, so peek for something operand-like that
-            // is not a label/keyword start.
+            // a value may follow; a name only counts as one if it is a var
+            // and not the next block's label
             let v = match p.peek() {
-                Some(Tok::Int(_)) | Some(Tok::Float(_)) => Some(parse_operand(p, module, ctx)?),
-                Some(Tok::Punct('-')) | Some(Tok::Punct('@')) | Some(Tok::Punct('&')) => {
-                    Some(parse_operand(p, module, ctx)?)
+                Some(Tok::Int(_) | Tok::Float(_) | Tok::Punct('-' | '@' | '&')) => {
+                    Some(parse_operand(p, sc)?)
                 }
-                Some(Tok::Ident(n)) if ctx.vars.contains_key(n.as_str()) => {
-                    // could also be a following label `n:` — disambiguate
-                    if p.toks.get(p.pos + 1).map(|t| &t.tok) == Some(&Tok::Punct(':')) {
-                        None
-                    } else {
-                        Some(parse_operand(p, module, ctx)?)
-                    }
+                Some(Tok::Ident(n))
+                    if sc.vars.contains_key(n) && p.peek2() != Some(Tok::Punct(':')) =>
+                {
+                    Some(parse_operand(p, sc)?)
                 }
                 _ => None,
             };
             return Ok(Some(PendingTerm::Ret(v)));
         }
-        "store" => {
-            return Err(p.err("`store` needs a type suffix, e.g. `store.i64`"));
-        }
-        _ => {}
-    }
-
-    if let Some(rest) = first.strip_prefix("store.") {
-        let ty = ty_by_name(rest).ok_or_else(|| p.err(format!("bad store type `{rest}`")))?;
-        let (base, offset) = parse_addr(p, module, ctx)?;
-        p.expect_punct(',')?;
-        let val = parse_operand(p, module, ctx)?;
-        let site = module.fresh_mem_site();
-        module.funcs[fid.index()]
-            .block_mut(b)
-            .insts
-            .push(Inst::Store {
+        "store" => return Err(p.err("`store` needs a type suffix, e.g. `store.i64`")),
+        _ if first.starts_with("store.") => {
+            let rest = &first["store.".len()..];
+            let ty = ty_by_name(rest).ok_or_else(|| p.err(format!("bad store type `{rest}`")))?;
+            let (base, offset) = parse_addr(p, sc)?;
+            p.expect_punct(',')?;
+            let val = parse_operand(p, sc)?;
+            Inst::Store {
                 base,
                 offset,
                 val,
                 ty,
-                site,
-            });
-        return Ok(None);
-    }
-
-    if first == "call" {
-        let (callee, args) = parse_call_tail(p, module, ctx)?;
-        let site = module.fresh_call_site();
-        module.funcs[fid.index()]
-            .block_mut(b)
-            .insts
-            .push(Inst::Call {
+                site: module.fresh_mem_site(),
+            }
+        }
+        "call" => {
+            let (callee, args) = parse_call_tail(p, sc)?;
+            Inst::Call {
                 dst: None,
                 callee,
                 args,
-                site,
-            });
-        return Ok(None);
-    }
-
-    // otherwise: `dst = rhs`
-    let dst = ctx
-        .vars
-        .get(&first)
-        .copied()
-        .ok_or_else(|| p.err(format!("unknown var `{first}`")))?;
-    p.expect_punct('=')?;
-
-    let rhs_start = p.peek().cloned();
-    let inst = match rhs_start {
-        Some(Tok::Ident(k)) => {
-            let k2 = k.clone();
-            if let Some(rest) = k2.strip_prefix("load.a.") {
-                p.next();
-                let ty = ty_by_name(rest).ok_or_else(|| p.err("bad load type"))?;
-                let (base, offset) = parse_addr(p, module, ctx)?;
-                let site = module.fresh_mem_site();
-                Inst::Load {
-                    dst,
-                    base,
-                    offset,
-                    ty,
-                    spec: LoadSpec::Advanced,
-                    site,
-                }
-            } else if let Some(rest) = k2.strip_prefix("load.s.") {
-                p.next();
-                let ty = ty_by_name(rest).ok_or_else(|| p.err("bad load type"))?;
-                let (base, offset) = parse_addr(p, module, ctx)?;
-                let site = module.fresh_mem_site();
-                Inst::Load {
-                    dst,
-                    base,
-                    offset,
-                    ty,
-                    spec: LoadSpec::Speculative,
-                    site,
-                }
-            } else if let Some(rest) = k2.strip_prefix("load.") {
-                p.next();
-                let ty = ty_by_name(rest).ok_or_else(|| p.err("bad load type"))?;
-                let (base, offset) = parse_addr(p, module, ctx)?;
-                let site = module.fresh_mem_site();
-                Inst::Load {
-                    dst,
-                    base,
-                    offset,
-                    ty,
-                    spec: LoadSpec::Normal,
-                    site,
-                }
-            } else if let Some(rest) = k2.strip_prefix("ldc.") {
-                p.next();
-                let ty = ty_by_name(rest).ok_or_else(|| p.err("bad check type"))?;
-                let (base, offset) = parse_addr(p, module, ctx)?;
-                let site = module.fresh_mem_site();
-                Inst::CheckLoad {
-                    dst,
-                    base,
-                    offset,
-                    ty,
-                    kind: CheckKind::Alat,
-                    site,
-                }
-            } else if let Some(rest) = k2.strip_prefix("chks.") {
-                p.next();
-                let ty = ty_by_name(rest).ok_or_else(|| p.err("bad check type"))?;
-                let (base, offset) = parse_addr(p, module, ctx)?;
-                let site = module.fresh_mem_site();
-                Inst::CheckLoad {
-                    dst,
-                    base,
-                    offset,
-                    ty,
-                    kind: CheckKind::Nat,
-                    site,
-                }
-            } else if k2 == "call" {
-                p.next();
-                let (callee, args) = parse_call_tail(p, module, ctx)?;
-                let site = module.fresh_call_site();
-                Inst::Call {
-                    dst: Some(dst),
-                    callee,
-                    args,
-                    site,
-                }
-            } else if k2 == "alloc" {
-                p.next();
-                let words = parse_operand(p, module, ctx)?;
-                let site = module.fresh_alloc_site();
-                Inst::Alloc { dst, words, site }
-            } else if let Some(op) = binop_by_name(&k2) {
-                p.next();
-                let a = parse_operand(p, module, ctx)?;
-                p.expect_punct(',')?;
-                let bb = parse_operand(p, module, ctx)?;
-                Inst::Bin { dst, op, a, b: bb }
-            } else if let Some(op) = unop_by_name(&k2) {
-                p.next();
-                let a = parse_operand(p, module, ctx)?;
-                Inst::Un { dst, op, a }
-            } else {
-                // copy from a var
-                let src = parse_operand(p, module, ctx)?;
-                Inst::Copy { dst, src }
+                site: module.fresh_call_site(),
             }
         }
+        // otherwise: `dst = rhs`
         _ => {
-            let src = parse_operand(p, module, ctx)?;
-            Inst::Copy { dst, src }
+            let dst = lookup(p, &sc.vars, first, "var")?;
+            p.expect_punct('=')?;
+            parse_rhs(p, module, sc, dst)?
         }
     };
     module.funcs[fid.index()].block_mut(b).insts.push(inst);
     Ok(None)
 }
 
-fn parse_call_tail(
-    p: &mut Parser,
-    module: &Module,
-    ctx: &FuncCtx,
+/// The right-hand side of `dst = ...`.
+fn parse_rhs<'a>(
+    p: &mut Parser<'a>,
+    module: &mut Module,
+    sc: &Scope<'a>,
+    dst: VarId,
+) -> Result<Inst, ParseError> {
+    let Some(Tok::Ident(k)) = p.peek() else {
+        let src = parse_operand(p, sc)?;
+        return Ok(Inst::Copy { dst, src });
+    };
+    let read = READS
+        .iter()
+        .find_map(|&(prefix, read)| Some((k.strip_prefix(prefix)?, read)));
+    Ok(if let Some((rest, read)) = read {
+        p.next();
+        let ty = ty_by_name(rest).ok_or_else(|| {
+            p.err(match read {
+                Read::Load(_) => "bad load type",
+                Read::Check(_) => "bad check type",
+            })
+        })?;
+        let (base, offset) = parse_addr(p, sc)?;
+        let site = module.fresh_mem_site();
+        match read {
+            Read::Load(spec) => Inst::Load {
+                dst,
+                base,
+                offset,
+                ty,
+                spec,
+                site,
+            },
+            Read::Check(kind) => Inst::CheckLoad {
+                dst,
+                base,
+                offset,
+                ty,
+                kind,
+                site,
+            },
+        }
+    } else if k == "call" {
+        p.next();
+        let (callee, args) = parse_call_tail(p, sc)?;
+        Inst::Call {
+            dst: Some(dst),
+            callee,
+            args,
+            site: module.fresh_call_site(),
+        }
+    } else if k == "alloc" {
+        p.next();
+        let words = parse_operand(p, sc)?;
+        Inst::Alloc {
+            dst,
+            words,
+            site: module.fresh_alloc_site(),
+        }
+    } else if let Some(op) = BinOp::ALL.into_iter().find(|o| o.mnemonic() == k) {
+        p.next();
+        let a = parse_operand(p, sc)?;
+        p.expect_punct(',')?;
+        let b = parse_operand(p, sc)?;
+        Inst::Bin { dst, op, a, b }
+    } else if let Some(op) = UnOp::ALL.into_iter().find(|o| o.mnemonic() == k) {
+        p.next();
+        let a = parse_operand(p, sc)?;
+        Inst::Un { dst, op, a }
+    } else {
+        // copy from a var
+        let src = parse_operand(p, sc)?;
+        Inst::Copy { dst, src }
+    })
+}
+
+fn parse_call_tail<'a>(
+    p: &mut Parser<'a>,
+    sc: &Scope<'a>,
 ) -> Result<(FuncId, Vec<Operand>), ParseError> {
     let name = p.ident()?;
-    let callee = module
-        .func_by_name(&name)
-        .ok_or_else(|| p.err(format!("unknown function `{name}`")))?;
+    let callee = lookup(p, &sc.funcs, name, "function")?;
     p.expect_punct('(')?;
     let mut args = Vec::new();
     if !p.eat_punct(')') {
         loop {
-            args.push(parse_operand(p, module, ctx)?);
+            args.push(parse_operand(p, sc)?);
             if !p.eat_punct(',') {
                 break;
             }

@@ -140,6 +140,44 @@ impl fmt::Display for Value {
     }
 }
 
+/// Word-addressed memory of [`Value`] cells, as the interpreter and the
+/// machine simulator hold it. Cells live in pages allocated on first write,
+/// and a cell never written reads as `I(0)`. Paging keeps a run's memory to
+/// the pages it touches: the stack and heap bases lie a megaword apart, so
+/// one flat vector would reach the heap's highest address on the first
+/// `alloc`, and reallocating that block run after run leaves the process
+/// at the allocator's mercy for its peak RSS.
+#[derive(Debug, Clone, Default)]
+pub struct WordMem {
+    pages: Vec<Option<Box<[Value]>>>,
+}
+
+impl WordMem {
+    /// Cells per page (64 KiB of cells).
+    const PAGE_BITS: u32 = 12;
+
+    /// The cell at `addr`.
+    #[inline]
+    pub fn get(&self, addr: usize) -> Value {
+        match self.pages.get(addr >> Self::PAGE_BITS) {
+            Some(Some(page)) => page[addr & ((1 << Self::PAGE_BITS) - 1)],
+            _ => Value::I(0),
+        }
+    }
+
+    /// Writes the cell at `addr`.
+    #[inline]
+    pub fn set(&mut self, addr: usize, v: Value) {
+        let p = addr >> Self::PAGE_BITS;
+        if p >= self.pages.len() {
+            self.pages.resize(p + 1, None);
+        }
+        let page = self.pages[p]
+            .get_or_insert_with(|| vec![Value::I(0); 1 << Self::PAGE_BITS].into_boxed_slice());
+        page[addr & ((1 << Self::PAGE_BITS) - 1)] = v;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,6 +197,18 @@ mod tests {
         assert_eq!(Value::F(3.9).as_i64(), 3);
         assert_eq!(Value::zero(Ty::F64), Value::F(0.0));
         assert_eq!(Value::zero(Ty::Ptr), Value::I(0));
+    }
+
+    #[test]
+    fn word_mem_reads_zero_until_written() {
+        let mut m = WordMem::default();
+        assert_eq!(m.get(5), Value::I(0));
+        m.set(1 << 20, Value::F(2.5));
+        m.set(3, Value::I(-1));
+        assert_eq!(m.get(1 << 20), Value::F(2.5));
+        assert_eq!(m.get(3), Value::I(-1));
+        assert_eq!(m.get((1 << 20) + 1), Value::I(0));
+        assert_eq!(m.get(usize::MAX), Value::I(0));
     }
 
     #[test]

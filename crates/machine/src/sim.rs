@@ -5,7 +5,7 @@ use crate::costs::CostModel;
 use crate::isa::{ChkKind, LdKind, MFunc, MInst, MOperand, MProgram};
 use crate::policy::{AlatPolicy, Deterministic, FaultAction};
 use crate::target::{SpecTarget, TargetId};
-use specframe_ir::{BinOp, Ty, UnOp, Value};
+use specframe_ir::{BinOp, Ty, UnOp, Value, WordMem};
 
 /// Words reserved for the stack region (matches the interpreter layout).
 pub const STACK_WORDS: i64 = 1 << 20;
@@ -214,7 +214,7 @@ pub struct TaintReport {
 pub struct Simulator<'p> {
     prog: &'p MProgram,
     costs: CostModel,
-    mem: Vec<Value>,
+    mem: WordMem,
     stack_base: i64,
     stack_top: i64,
     heap_base: i64,
@@ -259,7 +259,7 @@ impl<'p> Simulator<'p> {
         let mut s = Simulator {
             prog,
             costs,
-            mem: Vec::new(),
+            mem: WordMem::default(),
             stack_base,
             stack_top: stack_base,
             heap_base,
@@ -325,15 +325,11 @@ impl<'p> Simulator<'p> {
         if !self.addr_ok(addr) {
             return None;
         }
-        Some(self.mem.get(addr as usize).copied().unwrap_or(Value::I(0)))
+        Some(self.mem.get(addr as usize))
     }
 
     fn poke(&mut self, addr: i64, v: Value) {
-        let i = addr as usize;
-        if i >= self.mem.len() {
-            self.mem.resize(i + 1, Value::I(0));
-        }
-        self.mem[i] = v;
+        self.mem.set(addr as usize, v);
     }
 
     fn addr_ok(&self, addr: i64) -> bool {

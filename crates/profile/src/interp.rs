@@ -26,7 +26,8 @@
 use crate::observer::{MemAccess, Observer};
 use specframe_alias::Loc;
 use specframe_ir::{
-    BinOp, FuncId, FuncSlot, Function, Inst, LoadSpec, Module, Operand, Terminator, Ty, UnOp, Value,
+    BinOp, FuncId, FuncSlot, Function, Inst, LoadSpec, Module, Operand, Terminator, Ty, UnOp,
+    Value, WordMem,
 };
 use std::collections::BTreeMap;
 
@@ -100,7 +101,7 @@ impl std::error::Error for InterpError {}
 /// The interpreter state for one module.
 pub struct Interpreter<'m> {
     m: &'m Module,
-    mem: Vec<Value>,
+    mem: WordMem,
     /// Interval map: start -> (end, loc) for every named live region.
     regions: BTreeMap<i64, (i64, Loc)>,
     stack_base: i64,
@@ -126,7 +127,7 @@ impl<'m> Interpreter<'m> {
         let heap_base = stack_base + STACK_WORDS;
         let mut it = Interpreter {
             m,
-            mem: Vec::new(),
+            mem: WordMem::default(),
             regions: BTreeMap::new(),
             stack_base,
             stack_top: stack_base,
@@ -160,15 +161,11 @@ impl<'m> Interpreter<'m> {
 
     /// Reads a memory cell (for post-run inspection in tests).
     pub fn peek(&self, addr: i64) -> Value {
-        self.mem.get(addr as usize).copied().unwrap_or(Value::I(0))
+        self.mem.get(addr as usize)
     }
 
     fn poke(&mut self, addr: i64, v: Value) {
-        let i = addr as usize;
-        if i >= self.mem.len() {
-            self.mem.resize(i + 1, Value::I(0));
-        }
-        self.mem[i] = v;
+        self.mem.set(addr as usize, v);
     }
 
     fn addr_ok(&self, addr: i64) -> bool {

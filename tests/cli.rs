@@ -268,6 +268,27 @@ fn bad_input_fails_cleanly() {
 }
 
 #[test]
+fn out_of_range_declared_sizes_are_parse_errors() {
+    for (name, src, line) in [
+        (
+            "specc_neg_slot",
+            "func main() -> i64 {\n  slot b: i64[-1]\nentry:\n  ret 0\n}\n",
+            2,
+        ),
+        ("specc_big_global", "global g: i64[4294967297]\n", 1),
+    ] {
+        let input = tempfile_path::TempPath::new(name, ".ir", src);
+        let out = specc().arg(input.as_str()).output().expect("spawn specc");
+        assert_eq!(out.status.code(), Some(2), "{src:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("parse error on line {line}:")),
+            "{err}"
+        );
+    }
+}
+
+#[test]
 fn unknown_flag_reports_usage() {
     let out = specc().arg("--frobnicate").output().expect("spawn specc");
     // usage errors are exit-code family 1
