@@ -18,6 +18,7 @@
 //! built) must call [`FuncAnalyses::recompute`] before the cache is used
 //! again.
 
+use crate::cfg::cyclic_blocks;
 use crate::df::DomFrontiers;
 use crate::dom::DomTree;
 use crate::loops::LoopInfo;
@@ -33,6 +34,10 @@ pub struct FuncAnalyses {
     pub df: DomFrontiers,
     /// Natural-loop nest and per-block nesting depth.
     pub loops: LoopInfo,
+    /// Per block: whether it lies on a CFG cycle (see
+    /// [`cyclic_blocks`]; irreducible cycles
+    /// included).
+    pub on_cycle: Vec<bool>,
 }
 
 impl FuncAnalyses {
@@ -41,7 +46,13 @@ impl FuncAnalyses {
         let dt = DomTree::compute(f);
         let df = DomFrontiers::compute(f, &dt);
         let loops = LoopInfo::compute(f, &dt);
-        FuncAnalyses { dt, df, loops }
+        let on_cycle = cyclic_blocks(f);
+        FuncAnalyses {
+            dt,
+            df,
+            loops,
+            on_cycle,
+        }
     }
 
     /// Rebuilds the analyses after a CFG edit (see the invalidation rule in
@@ -54,7 +65,7 @@ impl FuncAnalyses {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dom::dom_compute_count;
+    use crate::dom::thread_dom_compute_count;
     use specframe_ir::{ModuleBuilder, Ty};
 
     fn diamond() -> specframe_ir::Module {
@@ -80,9 +91,11 @@ mod tests {
     #[test]
     fn compute_builds_one_dom_tree() {
         let m = diamond();
-        let before = dom_compute_count();
+        // the per-thread count: other tests build dominator trees in
+        // parallel and move the process-wide one
+        let before = thread_dom_compute_count();
         let fa = FuncAnalyses::compute(&m.funcs[0]);
-        assert_eq!(dom_compute_count() - before, 1);
+        assert_eq!(thread_dom_compute_count() - before, 1);
         assert!(fa.dt.is_reachable(specframe_ir::BlockId(3)));
         // merge block of the diamond is in the frontier of both arms
         assert!(!fa.df.of(specframe_ir::BlockId(1)).is_empty());

@@ -47,6 +47,67 @@ pub fn reverse_postorder(f: &Function) -> Vec<BlockId> {
     post
 }
 
+/// Which blocks lie on a CFG cycle: the members of a strongly connected
+/// component with more than one block, or with a self-loop (Tarjan's
+/// algorithm, iterative).
+///
+/// Unlike natural-loop depth this sees irreducible cycles too: a loop with
+/// two entries has no dominating header, so [`crate::LoopInfo`] reports
+/// depth 0 for its blocks, but they are still on a cycle.
+pub fn cyclic_blocks(f: &Function) -> Vec<bool> {
+    const UNSEEN: u32 = u32::MAX;
+    let n = f.blocks.len();
+    let succs: Vec<Vec<BlockId>> = f.blocks.iter().map(|b| b.term.successors()).collect();
+    let mut index = vec![UNSEEN; n];
+    let mut low = vec![0u32; n];
+    let mut on_stack = vec![false; n];
+    let mut stack: Vec<usize> = Vec::new();
+    let mut cyclic = vec![false; n];
+    let mut clock = 0u32;
+    // DFS frames: (block, next successor cursor)
+    let mut frames: Vec<(usize, usize)> = Vec::new();
+    for root in 0..n {
+        if index[root] != UNSEEN {
+            continue;
+        }
+        index[root] = clock;
+        low[root] = clock;
+        clock += 1;
+        stack.push(root);
+        on_stack[root] = true;
+        frames.push((root, 0));
+        while let Some(&mut (v, ref mut cursor)) = frames.last_mut() {
+            if let Some(w) = succs[v].get(*cursor).map(|s| s.index()) {
+                *cursor += 1;
+                if index[w] == UNSEEN {
+                    index[w] = clock;
+                    low[w] = clock;
+                    clock += 1;
+                    stack.push(w);
+                    on_stack[w] = true;
+                    frames.push((w, 0));
+                } else if on_stack[w] {
+                    low[v] = low[v].min(index[w]);
+                }
+                continue;
+            }
+            frames.pop();
+            if let Some(&(u, _)) = frames.last() {
+                low[u] = low[u].min(low[v]);
+            }
+            if low[v] == index[v] {
+                let at = stack.iter().rposition(|&w| w == v).expect("root on stack");
+                let on_cycle = stack.len() - at > 1 || succs[v].iter().any(|s| s.index() == v);
+                for w in stack.drain(at..) {
+                    on_stack[w] = false;
+                    cyclic[w] = on_cycle;
+                }
+            }
+        }
+    }
+    cyclic
+}
+
 /// Splits every critical edge (edge from a block with multiple successors to
 /// a block with multiple predecessors) by inserting an empty forwarding
 /// block. Returns the number of edges split.
@@ -112,6 +173,47 @@ mod tests {
             fb.ret(None);
         }
         mb.finish()
+    }
+
+    #[test]
+    fn cyclic_blocks_sees_loops_self_loops_and_irreducible_cycles() {
+        // acyclic diamond: nothing is on a cycle
+        assert!(cyclic_blocks(&diamond().funcs[0]).iter().all(|&c| !c));
+
+        // entry -> (a | b); a <-> b; a -> s; s -> (s | exit): the a/b
+        // cycle has two entries, so it has no natural loop; `s` loops on
+        // itself
+        let mut mb = ModuleBuilder::new();
+        let fid = mb.declare_func("irr", &[("x", Ty::I64)], None);
+        {
+            let mut fb = mb.define(fid);
+            let x = fb.param(0);
+            let a = fb.block("a");
+            let b = fb.block("b");
+            let s = fb.block("s");
+            let exit = fb.block("exit");
+            fb.br(x.into(), a, b);
+            fb.switch_to(a);
+            fb.br(x.into(), b, s);
+            fb.switch_to(b);
+            fb.jmp(a);
+            fb.switch_to(s);
+            fb.br(x.into(), s, exit);
+            fb.switch_to(exit);
+            fb.ret(None);
+        }
+        let m = mb.finish();
+        let f = &m.funcs[0];
+        assert_eq!(cyclic_blocks(f), vec![false, true, true, true, false]);
+        let dt = crate::DomTree::compute(f);
+        let loops = crate::LoopInfo::compute(f, &dt);
+        assert!(
+            loops
+                .loops
+                .iter()
+                .all(|l| l.header != BlockId(1) && l.header != BlockId(2)),
+            "a two-entry cycle has no natural-loop header"
+        );
     }
 
     #[test]

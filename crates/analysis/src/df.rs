@@ -65,10 +65,15 @@ impl DomFrontiers {
 pub fn iterated_df(df: &DomFrontiers, seeds: impl IntoIterator<Item = BlockId>) -> Vec<BlockId> {
     let mut in_set: Vec<BlockId> = Vec::new();
     let mut work: Vec<BlockId> = seeds.into_iter().collect();
-    let mut member = std::collections::HashSet::new();
+    // dense membership, allocated on the first frontier block (most
+    // seed sets of straight-line code have none)
+    let mut member: Vec<bool> = Vec::new();
     while let Some(b) = work.pop() {
         for &d in df.of(b) {
-            if member.insert(d) {
+            if member.is_empty() {
+                member = vec![false; df.df.len()];
+            }
+            if !std::mem::replace(&mut member[d.index()], true) {
                 in_set.push(d);
                 work.push(d);
             }

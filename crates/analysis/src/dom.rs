@@ -2,6 +2,7 @@
 
 use crate::cfg::reverse_postorder;
 use specframe_ir::{BlockId, Function};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Process-wide count of [`DomTree::compute`] invocations.
@@ -11,9 +12,23 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// at most once per function on the no-CFG-edit path.
 static DOM_COMPUTES: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// This thread's share of [`DOM_COMPUTES`].
+    static THREAD_DOM_COMPUTES: Cell<u64> = const { Cell::new(0) };
+}
+
 /// The current value of the process-wide [`DomTree::compute`] counter.
 pub fn dom_compute_count() -> u64 {
     DOM_COMPUTES.load(Ordering::Relaxed)
+}
+
+/// How many [`DomTree::compute`] calls the *calling thread* has made.
+///
+/// Unlike [`dom_compute_count`] this is immune to other threads building
+/// dominator trees concurrently, so a test can count its own builds while
+/// the test harness runs others in parallel.
+pub fn thread_dom_compute_count() -> u64 {
+    THREAD_DOM_COMPUTES.with(Cell::get)
 }
 
 /// The dominator tree of one function.
@@ -40,6 +55,7 @@ impl DomTree {
     /// Computes the dominator tree of `f`.
     pub fn compute(f: &Function) -> DomTree {
         DOM_COMPUTES.fetch_add(1, Ordering::Relaxed);
+        THREAD_DOM_COMPUTES.with(|c| c.set(c.get() + 1));
         let n = f.blocks.len();
         let rpo = reverse_postorder(f);
         let mut rpo_num = vec![usize::MAX; n];
@@ -146,6 +162,14 @@ impl DomTree {
     #[inline]
     pub fn strictly_dominates(&self, a: BlockId, b: BlockId) -> bool {
         a != b && self.dominates(a, b)
+    }
+
+    /// The block's dominator-tree preorder number. Sorting blocks by it
+    /// yields the [`DomTree::preorder`] walk (children in
+    /// [`DomTree::children`] order); unreachable blocks share number 0.
+    #[inline]
+    pub fn preorder_num(&self, b: BlockId) -> u32 {
+        self.pre[b.index()]
     }
 
     /// Blocks in reverse postorder (reachable only).

@@ -19,8 +19,8 @@ pub mod freq;
 pub mod loops;
 
 pub use cache::FuncAnalyses;
-pub use cfg::{reachable_blocks, reverse_postorder, split_critical_edges};
+pub use cfg::{cyclic_blocks, reachable_blocks, reverse_postorder, split_critical_edges};
 pub use df::{iterated_df, DomFrontiers};
-pub use dom::{dom_compute_count, DomTree};
+pub use dom::{dom_compute_count, thread_dom_compute_count, DomTree};
 pub use freq::{estimate_function_with, estimate_profile, estimate_profile_with, EdgeProfile};
 pub use loops::LoopInfo;

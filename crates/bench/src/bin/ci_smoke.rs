@@ -83,6 +83,64 @@ fn mega_smoke() -> MegaRow {
     row
 }
 
+/// SSAPRE work and cost on the 10k-function mega-module.
+struct SsapreRow {
+    funcs: usize,
+    candidates: u64,
+    transformed: u64,
+    cpu_ms: f64,
+    jobs: usize,
+    nproc: usize,
+}
+
+impl SsapreRow {
+    fn candidates_per_ms(&self) -> f64 {
+        self.candidates as f64 / self.cpu_ms.max(1e-9)
+    }
+}
+
+/// Compiles the 10k-function mega-module once (heuristic data + static
+/// control speculation, default job count) and records the SSAPRE
+/// counters from `OptStats` and its worker CPU time from `PassTimings`:
+/// how many candidates it considered, how many it transformed, and how
+/// many candidates it got through per CPU millisecond.
+fn ssapre_smoke() -> SsapreRow {
+    const SEED: u64 = 42;
+    const FUNCS: usize = 10_000;
+    let opts = OptOptions {
+        data: SpecSource::Heuristic,
+        control: ControlSpec::Static,
+        strength_reduction: true,
+        lftr: true,
+        store_sinking: true,
+        target: Default::default(),
+    };
+    let mut m = mega_module(SEED, FUNCS);
+    prepare_module(&mut m);
+    let cfg = PipelineConfig::default();
+    let report = optimize_with(&mut m, &opts, &cfg);
+    let row = SsapreRow {
+        funcs: FUNCS,
+        candidates: report.stats.candidates,
+        transformed: report.stats.transformed,
+        cpu_ms: report.timings.ssapre.as_secs_f64() * 1e3,
+        jobs: cfg.resolved_jobs(),
+        nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+    };
+    println!(
+        "ssapre: {} funcs, {} candidates, {} transformed, {:.1} ms CPU ({:.0} candidates/ms, \
+         jobs {}, nproc {})",
+        row.funcs,
+        row.candidates,
+        row.transformed,
+        row.cpu_ms,
+        row.candidates_per_ms(),
+        row.jobs,
+        row.nproc
+    );
+    row
+}
+
 /// IR text-layer throughput from the text smoke.
 struct TextRow {
     funcs: usize,
@@ -675,6 +733,7 @@ fn main() {
     }
 
     let mega = mega_smoke();
+    let ssapre = ssapre_smoke();
     let text = text_smoke();
     let cache = cache_smoke();
     let leaks = leaks_smoke();
@@ -694,6 +753,18 @@ fn main() {
         "  \"mega\": {{ \"funcs\": {}, \"insts\": {}, \"funcs_per_sec\": {:.0}, \
          \"insts_per_sec\": {:.0}, \"peak_rss_kb\": {} }},",
         mega.funcs, mega.insts, mega.funcs_per_sec, mega.insts_per_sec, mega.peak_rss_kb
+    );
+    let _ = writeln!(
+        json,
+        "  \"ssapre\": {{ \"funcs\": {}, \"candidates\": {}, \"transformed\": {}, \
+         \"cpu_ms\": {:.1}, \"candidates_per_ms\": {:.0}, \"jobs\": {}, \"nproc\": {} }},",
+        ssapre.funcs,
+        ssapre.candidates,
+        ssapre.transformed,
+        ssapre.cpu_ms,
+        ssapre.candidates_per_ms(),
+        ssapre.jobs,
+        ssapre.nproc
     );
     let _ = writeln!(
         json,

@@ -80,11 +80,7 @@ impl<'a> LftrClient<'a> {
     }
 }
 
-impl SpecClient for LftrClient<'_> {
-    fn describe(&self) -> String {
-        format!("lftr {:?} -> {:?}*{}", self.sr.iv_var, self.sr.s, self.sr.c)
-    }
-
+impl LftrClient<'_> {
     /// The single occurrence is the comparison defining the condition.
     fn occurrence(&self, stmt: &HStmt) -> Option<OccVersions> {
         if stmt.def_reg() == Some(self.cond) {
@@ -95,6 +91,12 @@ impl SpecClient for LftrClient<'_> {
         } else {
             None
         }
+    }
+}
+
+impl SpecClient for LftrClient<'_> {
+    fn describe(&self) -> String {
+        format!("lftr {:?} -> {:?}*{}", self.sr.iv_var, self.sr.s, self.sr.c)
     }
 
     /// Any use of the condition register outside its defining comparison

@@ -34,9 +34,9 @@ pub fn eliminate_dead_phis(hf: &mut HssaFunc) -> usize {
     for b in hf.block_ids() {
         let blk = &hf.blocks[b.index()];
         for stmt in &blk.stmts {
-            for u in stmt.reg_uses() {
+            stmt.for_each_reg_use(|u| {
                 needed.insert(u);
-            }
+            });
         }
         match &blk.term {
             Some(specframe_hssa::HTerm::Br {
@@ -70,9 +70,10 @@ pub fn eliminate_dead_phis(hf: &mut HssaFunc) -> usize {
         }
     }
     let mut removed = 0usize;
-    for b in hf.block_ids() {
-        let catalog = hf.catalog.clone();
-        let blk = &mut hf.blocks[b.index()];
+    let HssaFunc {
+        catalog, blocks, ..
+    } = hf;
+    for blk in blocks.iter_mut() {
         let before = blk.phis.len();
         blk.phis.retain(|phi| match catalog.kind(phi.var) {
             HVarKind::Reg(v) => needed.contains(&(v, phi.dest)),
@@ -180,9 +181,9 @@ pub fn eliminate_dead_copies(hf: &mut HssaFunc) -> usize {
                 }
             }
             for stmt in &blk.stmts {
-                for u in stmt.reg_uses() {
+                stmt.for_each_reg_use(|u| {
                     used.insert(u);
-                }
+                });
             }
             match &blk.term {
                 Some(specframe_hssa::HTerm::Br {

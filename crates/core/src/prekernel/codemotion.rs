@@ -74,6 +74,7 @@ impl<C: SpecClient> Kernel<'_, C> {
         t: VarId,
         fin: FinalizeOut,
         stats: &mut OptStats,
+        inserted_after: &mut Vec<(BlockId, u32)>,
     ) {
         let occs = &self.occs;
         let phis = &self.phis;
@@ -204,6 +205,7 @@ impl<C: SpecClient> Kernel<'_, C> {
                             stmt,
                             what: copy,
                         });
+                        inserted_after.push((b, o.orig));
                         stats.saves += 1;
                     }
                     Role::Reload { from, check } => {
@@ -243,6 +245,7 @@ impl<C: SpecClient> Kernel<'_, C> {
                                 stmt,
                                 what: copy,
                             });
+                            inserted_after.push((b, o.orig));
                             stats.checks += 1;
                             if check {
                                 stats.data_spec_reloads += 1;

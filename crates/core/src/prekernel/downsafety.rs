@@ -6,81 +6,94 @@
 //! through the likeliness oracle. Control speculation then treats a
 //! profitable non-down-safe Φ as down-safe when the edge profile says the
 //! speculated path is cold relative to the block (Lo et al., PLDI '98).
+//!
+//! A block's first event is the earlier of its first occurrence and its
+//! first tracked-variable def that kills; only def sites can kill, so the
+//! statements in between are never asked. Anticipation is the greatest
+//! fixpoint of "use, or transparent with every successor anticipated";
+//! its complement is found by one backward search from the killing blocks
+//! and the transparent exits, and the whole step is skipped when the
+//! candidate has no Φ.
 
-use super::{Kernel, OpndDef, SpecClient};
+use super::{Ev, Kernel, OpndDef, SpecClient};
 use specframe_hssa::HssaFunc;
-use specframe_ir::Function;
 
-#[derive(Clone, Copy, PartialEq)]
-enum Ev {
-    Use,
-    Kill,
-    Transparent,
-}
+/// `mark` states: anticipated unless stated otherwise.
+const TRANSPARENT: u8 = 0;
+const USE: u8 = 1;
+const KILL: u8 = 2;
+/// Transparent, but some path leaves through a kill or an exit.
+const NOT_ANT: u8 = 3;
 
 impl<C: SpecClient> Kernel<'_, C> {
-    pub(crate) fn downsafety(&mut self, f_base: &Function, hf: &HssaFunc) {
-        let nblocks = hf.blocks.len();
-        let mut first_event = vec![Ev::Transparent; nblocks];
-        for b in hf.block_ids() {
-            // the block's first occurrence (if any) is occ_rng[b].0 — occs
-            // are sorted by statement index within the block
-            let (lo, hi) = self.occ_rng[b.index()];
-            let first_occ = if lo < hi {
-                self.occs[lo as usize].stmt
-            } else {
-                usize::MAX
+    pub(crate) fn downsafety(&mut self, hf: &HssaFunc) {
+        if self.phis.is_empty() {
+            return;
+        }
+        let dt = self.dt;
+        let scratch = &mut *self.scratch;
+        let (mark, marked, work) = (&mut scratch.mark, &mut scratch.marked, &mut scratch.work);
+        // first events: the events are grouped by block, statement order
+        let mut cur_block = None;
+        let mut decided = false;
+        for e in &scratch.events {
+            if cur_block != Some(e.block) {
+                cur_block = Some(e.block);
+                decided = false;
+            }
+            if decided {
+                continue;
+            }
+            let state = match e.ev {
+                Ev::Occ(_) => USE,
+                Ev::Def { stmt, .. }
+                    if self
+                        .client
+                        .kills(&hf.blocks[e.block.index()].stmts[stmt as usize]) =>
+                {
+                    KILL
+                }
+                _ => continue,
             };
-            for (si, stmt) in hf.blocks[b.index()].stmts.iter().enumerate() {
-                if si == first_occ {
-                    first_event[b.index()] = Ev::Use;
-                    break;
-                }
-                if self.client.kills(stmt) {
-                    first_event[b.index()] = Ev::Kill;
-                    break;
-                }
+            mark[e.block.index()] = state;
+            marked.push(e.block);
+            decided = true;
+        }
+        // not anticipated: kills, transparent exits, and every transparent
+        // block with a successor already found not anticipated
+        work.clear();
+        work.extend(marked.iter().copied().filter(|b| mark[b.index()] == KILL));
+        for &x in &self.cx.exits {
+            if mark[x.index()] == TRANSPARENT {
+                mark[x.index()] = NOT_ANT;
+                marked.push(x);
+                work.push(x);
             }
         }
-        let mut ant_in = vec![true; nblocks];
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in self.dt.rpo().iter().rev() {
-                let succs = hf.blocks[b.index()]
-                    .term
-                    .as_ref()
-                    .map(|t| t.successors())
-                    .unwrap_or_default();
-                let out = if succs.is_empty() {
-                    false
-                } else {
-                    succs.iter().all(|s| ant_in[s.index()])
-                };
-                let inb = match first_event[b.index()] {
-                    Ev::Use => true,
-                    Ev::Kill => false,
-                    Ev::Transparent => out,
-                };
-                if inb != ant_in[b.index()] {
-                    ant_in[b.index()] = inb;
-                    changed = true;
+        while let Some(s) = work.pop() {
+            for &p in &hf.preds[s.index()] {
+                if mark[p.index()] == TRANSPARENT && dt.is_reachable(p) {
+                    mark[p.index()] = NOT_ANT;
+                    marked.push(p);
+                    work.push(p);
                 }
             }
         }
         for p in self.phis.iter_mut() {
-            p.down_safe = ant_in[p.block.index()];
+            p.down_safe = matches!(mark[p.block.index()], TRANSPARENT | USE);
+        }
+        for b in marked.drain(..) {
+            mark[b.index()] = TRANSPARENT;
         }
         // control speculation: profitable non-down-safe Phis become
         // "down-safe"
         if let Some((ep, fid)) = self.policy.control {
             if self.client.control_speculatable() {
-                let freqs = ep.block_freqs(fid, f_base);
                 for p in self.phis.iter_mut() {
                     if p.down_safe {
                         continue;
                     }
-                    let bfreq = freqs[p.block.index()];
+                    let bfreq = self.cx.block_freqs(ep, fid)[p.block.index()];
                     if bfreq == 0 {
                         continue;
                     }

@@ -6,17 +6,16 @@
 //! through speculative weak updates can only ever reach variable φs, so
 //! taking all of them is a sound superset).
 
-use super::{Kernel, OpndDef, PhiE, PhiOpnd, SpecClient, NO_PHI};
+use super::{Kernel, OpndDef, PhiE, PhiOpnd, SpecClient};
 use crate::expr::OccVersions;
 use specframe_analysis::iterated_df;
-use specframe_hssa::{HVarId, HVarKind, HssaFunc};
+use specframe_hssa::HssaFunc;
 use specframe_ir::InlineVec;
 
 impl<C: SpecClient> Kernel<'_, C> {
     pub(crate) fn phi_insertion(&mut self, hf: &HssaFunc) {
-        let tracked_regs = self.client.tracked_regs();
+        let nregs = self.client.tracked_regs().len();
         let mem_var = self.mem_var;
-        let nblocks = hf.blocks.len();
         // occs are sorted by block, so consecutive dedup yields the seeds
         let mut occ_blocks = Vec::with_capacity(self.occs.len());
         for o in &self.occs {
@@ -24,59 +23,44 @@ impl<C: SpecClient> Kernel<'_, C> {
                 occ_blocks.push(o.block);
             }
         }
-        let mut phi_block = vec![false; nblocks];
-        for b in iterated_df(self.df, occ_blocks) {
-            phi_block[b.index()] = true;
-        }
-        let reg_hvars: Vec<HVarId> = tracked_regs
-            .iter()
-            .filter_map(|&r| hf.catalog.get(HVarKind::Reg(r)))
-            .collect();
-        for b in hf.block_ids() {
-            if !self.dt.is_reachable(b) {
-                continue;
-            }
-            for phi in &hf.blocks[b.index()].phis {
-                if reg_hvars.contains(&phi.var) || mem_var == Some(phi.var) {
-                    phi_block[b.index()] = true;
+        // DF⁺ of the occurrences plus the φ blocks of the candidate's
+        // variables (all reachable), in block-index order
+        let mut blocks = iterated_df(&self.cx.fa.df, occ_blocks);
+        blocks.extend(self.var_phis.iter().map(|&(b, _, _)| b));
+        blocks.sort_unstable();
+        blocks.dedup();
+        let phi_at = &mut self.scratch.phi_at;
+        self.phis = blocks
+            .into_iter()
+            .enumerate()
+            .map(|(i, b)| {
+                phi_at[b.index()] = i as u32;
+                PhiE {
+                    block: b,
+                    class: u32::MAX,
+                    opnds: hf.preds[b.index()]
+                        .iter()
+                        .map(|_| PhiOpnd {
+                            def: OpndDef::Bottom,
+                            has_real_use: false,
+                            spec: false,
+                            vers_at_pred: OccVersions {
+                                regs: InlineVec::filled(0, nregs),
+                                mem: mem_var.map(|_| 0),
+                            },
+                            t_ver: u32::MAX,
+                            inserted: false,
+                        })
+                        .collect(),
+                    down_safe: false,
+                    cspec: false,
+                    can_be_avail: true,
+                    later: true,
+                    will_be_avail: false,
+                    tainted: false,
+                    t_ver: u32::MAX,
                 }
-            }
-        }
-        // materialize in block-index order (the old sort order, for free)
-        let mut phis: Vec<PhiE> = Vec::new();
-        let mut phi_at = vec![NO_PHI; nblocks];
-        for b in hf.block_ids() {
-            if !phi_block[b.index()] || !self.dt.is_reachable(b) {
-                continue;
-            }
-            phi_at[b.index()] = phis.len() as u32;
-            phis.push(PhiE {
-                block: b,
-                class: u32::MAX,
-                opnds: hf.preds[b.index()]
-                    .iter()
-                    .map(|_| PhiOpnd {
-                        def: OpndDef::Bottom,
-                        has_real_use: false,
-                        spec: false,
-                        vers_at_pred: OccVersions {
-                            regs: InlineVec::filled(0, tracked_regs.len()),
-                            mem: mem_var.map(|_| 0),
-                        },
-                        t_ver: u32::MAX,
-                        inserted: false,
-                    })
-                    .collect(),
-                down_safe: false,
-                cspec: false,
-                can_be_avail: true,
-                later: true,
-                will_be_avail: false,
-                tainted: false,
-                t_ver: u32::MAX,
-            });
-        }
-        self.phis = phis;
-        self.phi_at = phi_at;
+            })
+            .collect();
     }
 }

@@ -2,37 +2,34 @@
 //!
 //! A preorder dominator-tree walk maintains an expression stack alongside
 //! one version stack per operand variable and assigns h-versions (classes)
-//! to the real occurrences and Φ operands. The speculative extension
+//! to the real occurrences and Φ operands. The walk is sparse: it visits
+//! only the candidate's events (variable φs, Φs, occurrences, defs of the
+//! tracked variables, edges into Φ blocks) in preorder, and a stack entry
+//! is popped when the walk reaches a block its own block does not
+//! dominate. The speculative extension
 //! (paper Figure 7): when the memory versions of two occurrences differ
 //! *only through speculative weak updates* — checked by the weak-chain
 //! walker over the candidate's χ def chain — they receive the same class
 //! with a speculation flag.
 
-use super::{weak_reaches, Kernel, OpndDef, SpecClient, NO_PHI};
+use super::{weak_reaches, Ev, Kernel, OpndDef, SpecClient};
 use crate::expr::OccVersions;
-use specframe_hssa::{HStmtKind, HVarKind, HssaFunc};
-use specframe_ir::BlockId;
+use specframe_hssa::HssaFunc;
 
-#[derive(Clone, Debug)]
-enum Top {
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Top {
     Real(usize),
     Phi(usize),
 }
 
-struct Entry {
+pub(crate) struct Entry {
     class: u32,
     top: Top,
     vers: OccVersions,
 }
 
-enum Walk {
-    Visit(BlockId),
-    Pop {
-        exprs: usize,
-        regs: Vec<usize>,
-        mems: usize,
-    },
-}
+/// Undo-log tag of the expression stack (variable stacks log their slot).
+const EXPR: u32 = u32::MAX;
 
 impl<C: SpecClient> Kernel<'_, C> {
     pub(crate) fn rename(&mut self, hf: &HssaFunc) {
@@ -42,213 +39,142 @@ impl<C: SpecClient> Kernel<'_, C> {
             dt,
             mem_var,
             occs,
-            occ_rng,
-            mem_defs,
+            chis,
             phis,
-            phi_at,
+            scratch,
             ..
         } = self;
         let client = *client;
-        let tracked_regs = client.tracked_regs();
+        let nregs = client.tracked_regs().len();
         let mem_var = *mem_var;
         let base_collapsed = client.base_collapsed();
         let data = policy.data();
 
         let mut next_class = 0u32;
-        let mut expr_stack: Vec<Entry> = Vec::new();
-        // variable version stacks: regs by position in tracked_regs, mem last
-        let mut reg_stacks: Vec<Vec<u32>> = tracked_regs.iter().map(|_| vec![0]).collect();
-        let mut mem_stack: Vec<u32> = vec![0];
+        let expr_stack = &mut scratch.expr_stack;
+        expr_stack.clear();
+        // variable version stacks: regs by position in tracked_regs, mem
+        // last; each starts at the entry version
+        let stacks = &mut scratch.var_stacks;
+        stacks.resize_with(nregs + 1, Vec::new);
+        for st in stacks.iter_mut() {
+            st.clear();
+            st.push(0);
+        }
+        let tops = |stacks: &[Vec<u32>]| OccVersions {
+            regs: stacks[..nregs].iter().map(|s| *s.last().unwrap()).collect(),
+            mem: mem_var.map(|_| *stacks[nregs].last().unwrap()),
+        };
+        let log = &mut scratch.log;
+        log.clear();
 
-        let mut walk = vec![Walk::Visit(dt.rpo()[0])];
-        while let Some(w) = walk.pop() {
-            match w {
-                Walk::Pop { exprs, regs, mems } => {
-                    for _ in 0..exprs {
+        let mut cur_block = None;
+        for e in &scratch.events {
+            let b = e.block;
+            if cur_block != Some(b) {
+                cur_block = Some(b);
+                // leave the scopes of blocks that do not dominate `b`
+                while let Some(&(lb, slot)) = log.last() {
+                    if dt.dominates(lb, b) {
+                        break;
+                    }
+                    log.pop();
+                    if slot == EXPR {
                         expr_stack.pop();
-                    }
-                    for (i, n) in regs.iter().enumerate() {
-                        for _ in 0..*n {
-                            reg_stacks[i].pop();
-                        }
-                    }
-                    for _ in 0..mems {
-                        mem_stack.pop();
+                    } else {
+                        stacks[slot as usize].pop();
                     }
                 }
-                Walk::Visit(b) => {
-                    let mut pushed_exprs = 0usize;
-                    let mut pushed_regs = vec![0usize; tracked_regs.len()];
-                    let mut pushed_mem = 0usize;
-
-                    // (a) variable phis at block entry
-                    for phi in &hf.blocks[b.index()].phis {
-                        match hf.catalog.kind(phi.var) {
-                            HVarKind::Reg(v) => {
-                                if let Some(pos) = tracked_regs.iter().position(|&r| r == v) {
-                                    reg_stacks[pos].push(phi.dest);
-                                    pushed_regs[pos] += 1;
-                                }
-                            }
-                            _ => {
-                                if Some(phi.var) == mem_var {
-                                    mem_stack.push(phi.dest);
-                                    pushed_mem += 1;
-                                }
-                            }
-                        }
-                    }
-
-                    // (b) expression Phi
-                    if phi_at[b.index()] != NO_PHI {
-                        let pi = phi_at[b.index()] as usize;
-                        let vers = OccVersions {
-                            regs: reg_stacks.iter().map(|s| *s.last().unwrap()).collect(),
-                            mem: mem_var.map(|_| *mem_stack.last().unwrap()),
-                        };
-                        let class = next_class;
-                        next_class += 1;
-                        phis[pi].class = class;
-                        expr_stack.push(Entry {
-                            class,
-                            top: Top::Phi(pi),
-                            vers,
-                        });
-                        pushed_exprs += 1;
-                    }
-
-                    // (c) statements — the block's occurrences are the
-                    // contiguous slice occ_rng[b], in statement order, so a
-                    // cursor replaces the per-statement map lookup
-                    let (occ_lo, occ_hi) = occ_rng[b.index()];
-                    let mut occ_cur = occ_lo as usize;
-                    let nstmts = hf.blocks[b.index()].stmts.len();
-                    for si in 0..nstmts {
-                        if occ_cur < occ_hi as usize && occs[occ_cur].stmt == si {
-                            let oi = occ_cur;
-                            occ_cur += 1;
-                            let vers = occs[oi].vers.clone();
-                            let mut assigned = false;
-                            if let Some(top) = expr_stack.last() {
-                                let regs_exact = top.vers.regs == vers.regs;
-                                let regs_eq = regs_exact || (base_collapsed && data);
-                                let reg_spec = regs_eq && !regs_exact;
-                                if regs_eq && top.vers.mem == vers.mem {
-                                    occs[oi].class = top.class;
-                                    occs[oi].spec = reg_spec;
-                                    assigned = true;
-                                } else if regs_eq && data {
-                                    if let (Some(cur), Some(at)) = (vers.mem, top.vers.mem) {
-                                        if let Some(true) =
-                                            weak_reaches(hf, mem_defs, client, cur, at)
-                                        {
-                                            occs[oi].class = top.class;
-                                            occs[oi].spec = true;
-                                            assigned = true;
-                                        }
-                                    }
-                                }
-                            }
-                            if !assigned {
-                                occs[oi].class = next_class;
-                                next_class += 1;
-                            }
-                            let class = occs[oi].class;
-                            expr_stack.push(Entry {
-                                class,
-                                top: Top::Real(oi),
-                                vers,
-                            });
-                            pushed_exprs += 1;
-                        }
-                        // variable defs
-                        let stmt = &hf.blocks[b.index()].stmts[si];
-                        if let Some((v, ver)) = stmt.def_reg() {
-                            if let Some(pos) = tracked_regs.iter().position(|&r| r == v) {
-                                reg_stacks[pos].push(ver);
-                                pushed_regs[pos] += 1;
-                            }
-                        }
-                        if let Some(mv) = mem_var {
-                            if let HStmtKind::Store {
-                                dvar_def: Some((id, ver)),
-                                ..
-                            } = &stmt.kind
-                            {
-                                if *id == mv {
-                                    mem_stack.push(*ver);
-                                    pushed_mem += 1;
-                                }
-                            }
-                            if let Some(chi) = stmt.chi_of(mv) {
-                                mem_stack.push(chi.new_ver);
-                                pushed_mem += 1;
-                            }
-                        }
-                    }
-
-                    // (e) expression-Phi operands in successors
-                    let succs = hf.blocks[b.index()]
-                        .term
-                        .as_ref()
-                        .map(|t| t.successors())
-                        .unwrap_or_default();
-                    for s in succs {
-                        let pi = phi_at[s.index()];
-                        if pi == NO_PHI {
-                            continue;
-                        }
-                        let pi = pi as usize;
-                        let Some(op_idx) = hf.pred_index(s, b) else {
-                            continue;
-                        };
-                        let cur = OccVersions {
-                            regs: reg_stacks.iter().map(|st| *st.last().unwrap()).collect(),
-                            mem: mem_var.map(|_| *mem_stack.last().unwrap()),
-                        };
-                        // decide the operand binding before taking the
-                        // mutable borrow (weak_reaches reads kernel state)
-                        let mut bind: Option<(OpndDef, bool, bool)> = None;
-                        if let Some(top) = expr_stack.last() {
-                            let regs_exact = top.vers.regs == cur.regs;
-                            let regs_eq = regs_exact || (base_collapsed && data);
-                            let reg_spec = regs_eq && !regs_exact;
-                            let mem_match = if top.vers.mem == cur.mem {
-                                Some(reg_spec)
-                            } else if regs_eq && data {
-                                match (cur.mem, top.vers.mem) {
-                                    (Some(c), Some(a)) => weak_reaches(hf, mem_defs, client, c, a),
-                                    _ => None,
-                                }
-                            } else {
-                                None
-                            };
-                            if regs_eq {
-                                if let Some(spec) = mem_match {
-                                    let def = match top.top {
-                                        Top::Real(i) => OpndDef::Real(i),
-                                        Top::Phi(i) => OpndDef::Phi(i),
-                                    };
-                                    bind = Some((def, matches!(top.top, Top::Real(_)), spec));
-                                }
-                            }
-                        }
-                        let opnd = &mut phis[pi].opnds[op_idx];
-                        opnd.vers_at_pred = cur;
-                        if let Some((def, has_real_use, spec)) = bind {
-                            opnd.def = def;
-                            opnd.has_real_use = has_real_use;
-                            opnd.spec = spec;
-                        }
-                    }
-
-                    walk.push(Walk::Pop {
-                        exprs: pushed_exprs,
-                        regs: pushed_regs,
-                        mems: pushed_mem,
+            }
+            match e.ev {
+                // (a) variable φs and defs
+                Ev::VarPhi { slot, dest: ver } | Ev::Def { slot, ver, .. } => {
+                    stacks[slot as usize].push(ver);
+                    log.push((b, slot));
+                }
+                // (b) expression Φ
+                Ev::Phi(pi) => {
+                    let class = next_class;
+                    next_class += 1;
+                    phis[pi].class = class;
+                    expr_stack.push(Entry {
+                        class,
+                        top: Top::Phi(pi),
+                        vers: tops(stacks),
                     });
-                    for &c in dt.children(b).iter().rev() {
-                        walk.push(Walk::Visit(c));
+                    log.push((b, EXPR));
+                }
+                // (c) real occurrences
+                Ev::Occ(oi) => {
+                    let vers = occs[oi].vers.clone();
+                    let mut assigned = false;
+                    if let Some(top) = expr_stack.last() {
+                        let regs_exact = top.vers.regs == vers.regs;
+                        let regs_eq = regs_exact || (base_collapsed && data);
+                        let reg_spec = regs_eq && !regs_exact;
+                        if regs_eq && top.vers.mem == vers.mem {
+                            occs[oi].class = top.class;
+                            occs[oi].spec = reg_spec;
+                            assigned = true;
+                        } else if regs_eq && data {
+                            if let (Some(cur), Some(at)) = (vers.mem, top.vers.mem) {
+                                if let Some(true) = weak_reaches(hf, chis, client, cur, at) {
+                                    occs[oi].class = top.class;
+                                    occs[oi].spec = true;
+                                    assigned = true;
+                                }
+                            }
+                        }
+                    }
+                    if !assigned {
+                        occs[oi].class = next_class;
+                        next_class += 1;
+                    }
+                    expr_stack.push(Entry {
+                        class: occs[oi].class,
+                        top: Top::Real(oi),
+                        vers,
+                    });
+                    log.push((b, EXPR));
+                }
+                // (d) expression-Φ operands along the edge b -> s
+                Ev::PredEnd(s) => {
+                    let pi = scratch.phi_at[s.index()] as usize;
+                    let Some(op_idx) = hf.pred_index(s, b) else {
+                        continue;
+                    };
+                    let cur = tops(stacks);
+                    let mut bind: Option<(OpndDef, bool, bool)> = None;
+                    if let Some(top) = expr_stack.last() {
+                        let regs_exact = top.vers.regs == cur.regs;
+                        let regs_eq = regs_exact || (base_collapsed && data);
+                        let reg_spec = regs_eq && !regs_exact;
+                        let mem_match = if top.vers.mem == cur.mem {
+                            Some(reg_spec)
+                        } else if regs_eq && data {
+                            match (cur.mem, top.vers.mem) {
+                                (Some(c), Some(a)) => weak_reaches(hf, chis, client, c, a),
+                                _ => None,
+                            }
+                        } else {
+                            None
+                        };
+                        if regs_eq {
+                            if let Some(spec) = mem_match {
+                                let def = match top.top {
+                                    Top::Real(i) => OpndDef::Real(i),
+                                    Top::Phi(i) => OpndDef::Phi(i),
+                                };
+                                bind = Some((def, matches!(top.top, Top::Real(_)), spec));
+                            }
+                        }
+                    }
+                    let opnd = &mut phis[pi].opnds[op_idx];
+                    opnd.vers_at_pred = cur;
+                    if let Some((def, has_real_use, spec)) = bind {
+                        opnd.def = def;
+                        opnd.has_real_use = has_real_use;
+                        opnd.spec = spec;
                     }
                 }
             }

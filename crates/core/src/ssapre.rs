@@ -20,15 +20,17 @@
 //! check loads by the same register, and what makes a failed check's
 //! reloaded value visible to every later reload.
 
-use crate::expr::{collect_candidates, kills, occurrence_versions, ExprKey, OccVersions};
-use crate::prekernel::{run_kernel, SpecClient};
+use crate::expr::{
+    collect_candidates, kills, CandIndex, ExprKey, Family, OccVersions, TrackedRegs,
+};
+use crate::prekernel::{run_kernel, CandSites, DefSite, KernelCx, KernelScratch, SpecClient};
 use crate::stats::OptStats;
-use specframe_analysis::{DomFrontiers, DomTree, FuncAnalyses};
+use specframe_analysis::FuncAnalyses;
 use specframe_hssa::{
     ChiRefine, HOperand, HStmt, HStmtKind, HVarId, HssaFunc, MemBase, RefineStmt,
 };
 use specframe_ir::FxHashSet;
-use specframe_ir::{Function, LoadSpec, Ty, VarId};
+use specframe_ir::{BlockId, LoadSpec, Ty, VarId};
 
 // The engine moved to `prekernel`; keep the public surface stable.
 pub use crate::prekernel::{
@@ -48,16 +50,32 @@ pub fn ssapre_function(
     stats: &mut OptStats,
     fa: &FuncAnalyses,
 ) -> usize {
-    let (dt, df) = (&fa.dt, &fa.df);
-    let mut changed = 0;
-    // phase 1: arithmetic expressions (address computations among them)
-    let candidates = collect_candidates(hf);
-    stats.candidates += candidates.len() as u64;
-    for key in candidates.iter().filter(|k| !k.is_load()) {
-        if ssapre_expression(f_base, hf, key, dt, df, policy, stats) {
-            changed += 1;
+    let cx = KernelCx::new(f_base, hf, fa, policy);
+    let mut scratch = KernelScratch::default();
+    let mut sites = CandSites::default();
+    // one phase: index the function, then run every candidate of `family`
+    // (the index records all families when `count` asks for the total)
+    let mut phase = |hf: &mut HssaFunc, stats: &mut OptStats, family: Family, count: bool| {
+        let mut index = collect_candidates(hf, &fa.dt, (!count).then_some(family));
+        if count {
+            stats.candidates += index.keys().len() as u64;
         }
-    }
+        let keys: Vec<ExprKey> = index
+            .keys()
+            .iter()
+            .copied()
+            .filter(|k| k.family() == family)
+            .collect();
+        let mut changed = 0;
+        for key in &keys {
+            if ssapre_expression(hf, key, &mut index, &cx, &mut sites, &mut scratch, stats) {
+                changed += 1;
+            }
+        }
+        changed
+    };
+    // phase 1: arithmetic expressions (address computations among them)
+    let mut changed = phase(hf, stats, Family::Arith, true);
     // phase 2: copy propagation unifies the base registers of loads whose
     // address arithmetic phase 1 just commoned — this restores the "same
     // syntax tree" identity the paper's lexical expression matching relies
@@ -65,29 +83,13 @@ pub fn ssapre_function(
     copy_propagate(hf);
     // phase 3a: direct loads (scalar promotion) first — their collapsed
     // temporaries may become the base registers of indirect candidates
-    let candidates = collect_candidates(hf);
-    for key in candidates
-        .iter()
-        .filter(|k| matches!(k, ExprKey::DirectLoad(..)))
-    {
-        if ssapre_expression(f_base, hf, key, dt, df, policy, stats) {
-            changed += 1;
-        }
-    }
+    changed += phase(hf, stats, Family::Direct, false);
     // phase 3b: forward the promoted pointers into dependent load bases so
     // cascaded speculation (Appendix B's chk.a scenario) can see them
     copy_propagate(hf);
     propagate_collapsed_local(hf);
     // phase 3c: indirect loads, re-collected after the rewrite
-    let candidates = collect_candidates(hf);
-    for key in candidates
-        .iter()
-        .filter(|k| matches!(k, ExprKey::IndirectLoad { .. }))
-    {
-        if ssapre_expression(f_base, hf, key, dt, df, policy, stats) {
-            changed += 1;
-        }
-    }
+    changed += phase(hf, stats, Family::Indirect, false);
     // phase 4: clean up — propagate the copies the transformations left
     // behind and drop the dead ones, so a reload costs its check and
     // nothing more
@@ -95,21 +97,35 @@ pub fn ssapre_function(
     changed
 }
 
-/// Runs the six kernel steps for one expression. Returns `true` if the
-/// program changed.
-#[allow(clippy::too_many_arguments)]
-pub fn ssapre_expression(
-    f_base: &Function,
+/// Runs the six kernel steps for one expression, reading its sites from
+/// the phase's `index` and keeping the index exact afterwards. Returns
+/// `true` if the program changed.
+fn ssapre_expression(
     hf: &mut HssaFunc,
     key: &ExprKey,
-    dt: &DomTree,
-    df: &DomFrontiers,
-    policy: &SpecPolicy<'_>,
+    index: &mut CandIndex,
+    cx: &KernelCx<'_>,
+    sites: &mut CandSites,
+    scratch: &mut KernelScratch,
     stats: &mut OptStats,
 ) -> bool {
-    let client = ExprClient::new(hf, key, policy, dt);
-    run_kernel(f_base, hf, &client, dt, df, policy, stats)
+    let client = ExprClient::new(hf, key, cx.policy, index);
+    sites.clear();
+    client.occurrences_into(index, sites);
+    #[cfg(test)]
+    exactness::check_candidate(hf, key, index, &client, sites, cx);
+    let fill_vars = |sites: &mut CandSites| client.vars_into(index, sites);
+    if !run_kernel(hf, &client, sites, fill_vars, cx, scratch, stats) {
+        return false;
+    }
+    for &(b, stmt) in &sites.inserted_after {
+        index.note_inserted_after(b, stmt);
+    }
+    true
 }
+
+#[cfg(test)]
+mod exactness;
 
 // ---------------------------------------------------------------------------
 // the expression client
@@ -119,7 +135,7 @@ pub fn ssapre_expression(
 struct ExprClient<'a> {
     key: &'a ExprKey,
     policy: &'a SpecPolicy<'a>,
-    tracked_regs: Vec<VarId>,
+    tracked_regs: TrackedRegs,
     mem_var: Option<HVarId>,
     /// Cascaded speculation (Appendix B's chk.a case): when an indirect
     /// load's base register is itself a collapsed promotion temporary, its
@@ -135,33 +151,23 @@ struct ExprClient<'a> {
 }
 
 impl<'a> ExprClient<'a> {
-    fn new(hf: &HssaFunc, key: &'a ExprKey, policy: &'a SpecPolicy<'a>, dt: &DomTree) -> Self {
+    fn new(hf: &HssaFunc, key: &'a ExprKey, policy: &'a SpecPolicy<'a>, index: &CandIndex) -> Self {
         let base_collapsed = match key {
             ExprKey::IndirectLoad { base, .. } => hf.collapsed_vars.contains(base),
             _ => false,
         };
-        let expr_locs: FxHashSet<specframe_alias::Loc> = match policy.oracle.profile() {
-            Some(p) => {
-                let mut locs = FxHashSet::default();
-                for b in hf.block_ids() {
-                    if !dt.is_reachable(b) {
-                        continue;
-                    }
-                    for stmt in &hf.blocks[b.index()].stmts {
-                        if occurrence_versions(stmt, key).is_none() {
-                            continue;
-                        }
-                        if let HStmtKind::Load { site, .. } = &stmt.kind {
-                            if let Some(s) = p.locs(*site) {
-                                locs.extend(s.iter().copied());
-                            }
-                        }
+        let mut expr_locs: FxHashSet<specframe_alias::Loc> = FxHashSet::default();
+        if let Some(p) = policy.oracle.profile() {
+            for o in index.occurrences(key) {
+                let stmt = index.current(o.block, o.stmt);
+                let stmt = &hf.blocks[o.block.index()].stmts[stmt as usize];
+                if let HStmtKind::Load { site, .. } = &stmt.kind {
+                    if let Some(s) = p.locs(*site) {
+                        expr_locs.extend(s.iter().copied());
                     }
                 }
-                locs
             }
-            None => FxHashSet::default(),
-        };
+        }
         ExprClient {
             key,
             policy,
@@ -171,6 +177,40 @@ impl<'a> ExprClient<'a> {
             expr_locs,
         }
     }
+
+    /// The candidate's occurrences, read from the index (current
+    /// coordinates).
+    fn occurrences_into(&self, index: &CandIndex, sites: &mut CandSites) {
+        sites.occs.extend(index.occurrences(self.key).map(|o| {
+            let cur = index.current(o.block, o.stmt);
+            (o.block, cur, o.stmt, o.vers.clone())
+        }));
+    }
+
+    /// The defs and φs of the candidate's variables, read from the index.
+    fn vars_into(&self, index: &CandIndex, sites: &mut CandSites) {
+        let def = |slot: usize, d: &crate::expr::VarDef| DefSite {
+            block: d.block,
+            stmt: index.current(d.block, d.stmt),
+            slot: slot as u32,
+            ver: d.ver,
+            chi_old: d.chi_old,
+        };
+        let phi = |slot: usize, &(b, dest): &(BlockId, u32)| (b, slot as u32, dest);
+        for (slot, &r) in self.tracked_regs.iter().enumerate() {
+            sites.defs.extend(index.reg_defs(r).map(|d| def(slot, d)));
+            sites
+                .var_phis
+                .extend(index.reg_phis(r).map(|p| phi(slot, p)));
+        }
+        if let Some(mv) = self.mem_var {
+            let slot = self.tracked_regs.len();
+            sites.defs.extend(index.mem_defs(mv).map(|d| def(slot, d)));
+            sites
+                .var_phis
+                .extend(index.mem_phis(mv).map(|p| phi(slot, p)));
+        }
+    }
 }
 
 impl SpecClient for ExprClient<'_> {
@@ -178,14 +218,11 @@ impl SpecClient for ExprClient<'_> {
         format!("{:?}", self.key)
     }
 
-    fn occurrence(&self, stmt: &HStmt) -> Option<OccVersions> {
-        occurrence_versions(stmt, self.key)
-    }
-
     fn kills(&self, stmt: &HStmt) -> bool {
         kills_with_policy(
             stmt,
             self.key,
+            &self.tracked_regs,
             self.mem_var,
             self.policy,
             &self.expr_locs,
@@ -260,6 +297,7 @@ fn refine_stmt(stmt: &HStmt) -> RefineStmt {
 fn kills_with_policy(
     stmt: &HStmt,
     key: &ExprKey,
+    tracked_regs: &[VarId],
     mem_var: Option<HVarId>,
     policy: &SpecPolicy<'_>,
     expr_locs: &FxHashSet<specframe_alias::Loc>,
@@ -272,14 +310,12 @@ fn kills_with_policy(
     // kill: dependent reloads re-validate through their own check
     if base_collapsed {
         if let Some((v, _)) = stmt.def_reg() {
-            if key.tracked_regs().contains(&v)
-                && !kills_mem_part(stmt, key, mem_var, policy, expr_locs)
-            {
+            if tracked_regs.contains(&v) && !kills_mem_part(stmt, key, mem_var, policy, expr_locs) {
                 return false;
             }
         }
     }
-    if kills_reg_or_strong(stmt, key, mem_var) {
+    if kills_reg_or_strong(stmt, tracked_regs, mem_var) {
         return true;
     }
     let Some(mv) = mem_var else { return false };
@@ -328,9 +364,9 @@ fn kills_mem_part(
     })
 }
 
-fn kills_reg_or_strong(stmt: &HStmt, key: &ExprKey, mem_var: Option<HVarId>) -> bool {
+fn kills_reg_or_strong(stmt: &HStmt, tracked_regs: &[VarId], mem_var: Option<HVarId>) -> bool {
     if let Some((v, _)) = stmt.def_reg() {
-        if key.tracked_regs().contains(&v) {
+        if tracked_regs.contains(&v) {
             return true;
         }
     }

@@ -57,11 +57,8 @@ struct StoreClient {
     ty: Ty,
 }
 
-impl SpecClient for StoreClient {
-    fn describe(&self) -> String {
-        format!("store-promote {:?}", self.mv)
-    }
-
+impl StoreClient {
+    /// The occurrences are the candidate stores.
     fn occurrence(&self, stmt: &HStmt) -> Option<OccVersions> {
         match &stmt.kind {
             HStmtKind::Store {
@@ -73,6 +70,12 @@ impl SpecClient for StoreClient {
             }),
             _ => None,
         }
+    }
+}
+
+impl SpecClient for StoreClient {
+    fn describe(&self) -> String {
+        format!("store-promote {:?}", self.mv)
     }
 
     fn kills(&self, stmt: &HStmt) -> bool {

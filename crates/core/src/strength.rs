@@ -109,13 +109,6 @@ impl SpecClient for StrengthClient {
         format!("strength-reduce {:?} * {:?}", self.iv.var, self.c)
     }
 
-    fn occurrence(&self, stmt: &HStmt) -> Option<OccVersions> {
-        self.mul_of_iv(stmt).map(|(ver, _)| OccVersions {
-            regs: [ver].into_iter().collect(),
-            mem: None,
-        })
-    }
-
     fn kills(&self, _stmt: &HStmt) -> bool {
         false
     }

@@ -171,9 +171,16 @@ impl HStmt {
     /// Register operands read by the payload (not including μ operators).
     pub fn reg_uses(&self) -> Vec<RegVer> {
         let mut out = Vec::new();
+        self.for_each_reg_use(|u| out.push(u));
+        out
+    }
+
+    /// Calls `f` on every register operand read by the payload, in
+    /// [`HStmt::reg_uses`] order, without allocating.
+    pub fn for_each_reg_use(&self, mut f: impl FnMut(RegVer)) {
         let mut push = |o: &HOperand| {
             if let HOperand::Reg(v, ver) = o {
-                out.push((*v, *ver));
+                f((*v, *ver));
             }
         };
         match &self.kind {
@@ -195,7 +202,6 @@ impl HStmt {
             }
             HStmtKind::Alloc { words, .. } => push(words),
         }
-        out
     }
 
     /// The χ over `var`, if present.
@@ -247,6 +253,16 @@ impl HTerm {
             HTerm::Br { then_, else_, .. } => vec![*then_, *else_],
             HTerm::Ret(_) => vec![],
         }
+    }
+
+    /// Successors in order (as [`HTerm::successors`]), without allocating.
+    pub fn succs(&self) -> impl Iterator<Item = BlockId> {
+        let (first, second) = match *self {
+            HTerm::Jump(t) => (Some(t), None),
+            HTerm::Br { then_, else_, .. } => (Some(then_), Some(else_)),
+            HTerm::Ret(_) => (None, None),
+        };
+        first.into_iter().chain(second)
     }
 }
 

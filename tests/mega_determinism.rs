@@ -53,6 +53,33 @@ fn mega_module_is_bit_identical_across_job_counts() {
     }
 }
 
+/// The same contract on the seeds the sparse SSAPRE kernel was sized on:
+/// its per-phase index is rebuilt per worker, so scheduling must not leak
+/// into the output either.
+#[test]
+fn mega_seeds_are_bit_identical_across_job_counts() {
+    for seed in [1, 42, 2003] {
+        let mut base = mega_module(seed, 60);
+        prepare_module(&mut base);
+        let mut serial = base.clone();
+        let r1 = optimize_with(&mut serial, &opts(), &PipelineConfig { jobs: 1 });
+        let s1 = print_module(&serial);
+        for jobs in [2, 4] {
+            let mut parallel = base.clone();
+            let rj = optimize_with(&mut parallel, &opts(), &PipelineConfig { jobs });
+            assert_eq!(
+                r1.stats, rj.stats,
+                "seed {seed}: OptStats diverge at jobs={jobs}"
+            );
+            assert_eq!(
+                s1,
+                print_module(&parallel),
+                "seed {seed}: printed module diverges at jobs={jobs}"
+            );
+        }
+    }
+}
+
 #[test]
 fn mega_module_dumps_are_bit_identical_across_job_counts() {
     let hooks = PipelineHooks {
