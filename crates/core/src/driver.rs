@@ -56,6 +56,19 @@ pub enum SpecSource<'a> {
     Aggressive,
 }
 
+impl<'a> SpecSource<'a> {
+    /// The speculative SSA construction mode that reads likeliness from
+    /// this source.
+    pub fn mode(self) -> SpecMode<'a> {
+        match self {
+            SpecSource::None => SpecMode::NoSpeculation,
+            SpecSource::Profile(p) => SpecMode::Profile(p),
+            SpecSource::Heuristic => SpecMode::Heuristic,
+            SpecSource::Aggressive => SpecMode::Aggressive,
+        }
+    }
+}
+
 /// Where control-speculation likeliness comes from (Figure 3's "edge/path
 /// profile / heuristic rules" box).
 #[derive(Debug, Clone, Copy, Default)]
@@ -305,49 +318,12 @@ pub fn try_optimize_cached(
         // probing fans out over the worker pool like compilation does; the
         // outcomes are folded back in index order below, keeping counters,
         // warnings and write-back decisions deterministic.
-        let pjobs = cfg.resolved_jobs().min(nfuncs.max(1));
-        let mut probes: Vec<Option<(cache::CacheKey, Probe)>> = Vec::new();
-        probes.resize_with(nfuncs, || None);
-        if pjobs <= 1 {
-            for (fi, slot) in probes.iter_mut().enumerate() {
-                let key = ctx.function_key(fi);
-                let probe = c.probe(&key);
-                *slot = Some((key, probe));
-            }
-        } else {
-            let chunk = (nfuncs / (pjobs * 8)).clamp(1, 32);
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let out: Mutex<Vec<Option<(cache::CacheKey, Probe)>>> =
-                Mutex::new(std::mem::take(&mut probes));
-            let ctx = &ctx;
-            let worker = || {
-                let mut local: Vec<(usize, cache::CacheKey, Probe)> = Vec::new();
-                loop {
-                    let lo = next.fetch_add(chunk, std::sync::atomic::Ordering::Relaxed);
-                    if lo >= nfuncs {
-                        break;
-                    }
-                    for fi in lo..(lo + chunk).min(nfuncs) {
-                        let key = ctx.function_key(fi);
-                        let probe = c.probe(&key);
-                        local.push((fi, key, probe));
-                    }
-                }
-                let mut out = out.lock().unwrap();
-                for (fi, key, probe) in local {
-                    out[fi] = Some((key, probe));
-                }
-            };
-            std::thread::scope(|s| {
-                for _ in 1..pjobs {
-                    s.spawn(worker);
-                }
-                worker();
-            });
-            probes = out.into_inner().unwrap();
-        }
-        for (fi, slot) in probes.into_iter().enumerate() {
-            let (key, probe) = slot.expect("every function probed");
+        let probes = fan_out(cfg.resolved_jobs(), nfuncs, |fi| {
+            let key = ctx.function_key(fi);
+            let probe = c.probe(&key);
+            (key, probe)
+        });
+        for (fi, (key, probe)) in probes.into_iter().enumerate() {
             match probe {
                 Probe::Hit(cf) => {
                     cache_stats.hits += 1;
@@ -416,7 +392,6 @@ pub fn try_optimize_cached(
     let layout = layout_globals(&m.globals);
     // only misses occupy worker slots; hits are spliced in at the join
     let miss: Vec<usize> = (0..nfuncs).filter(|&fi| cached[fi].is_none()).collect();
-    let jobs = cfg.resolved_jobs().min(miss.len().max(1));
     let funcs = std::mem::take(&mut m.funcs);
     let shared = Shared {
         globals: &m.globals,
@@ -430,67 +405,17 @@ pub fn try_optimize_cached(
     };
     let fa_of = |fi: usize| fas[fi].as_ref().expect("analyses computed for every miss");
 
-    let mut results: Vec<Option<Result<FuncResult, CompileError>>> = if jobs <= 1 {
-        funcs
-            .into_iter()
-            .enumerate()
-            .map(|(fi, f)| match cached[fi].take() {
-                Some(cf) => Some(Ok(FuncResult::from_cached(*cf))),
-                None => Some(process_function(&shared, f, fi, fa_of(fi))),
-            })
-            .collect()
-    } else {
-        // chunked work claiming: workers grab CHUNK *miss-list* positions
-        // per atomic fetch_add instead of popping one job from a global
-        // locked queue, and each input slot has its own (uncontended)
-        // mutex — the per-function synchronization cost is one futex fast
-        // path, not a fight over one queue lock. Results accumulate
-        // worker-locally and merge under the output lock once per worker.
-        let nmiss = miss.len();
-        let chunk = (nmiss / (jobs * 8)).clamp(1, 32);
-        let slots: Vec<Mutex<Option<Function>>> =
-            funcs.into_iter().map(|f| Mutex::new(Some(f))).collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let out: Mutex<Vec<Option<Result<FuncResult, CompileError>>>> = {
-            let mut v = Vec::new();
-            v.resize_with(nfuncs, || None);
-            Mutex::new(v)
-        };
-        let miss = &miss;
-        let worker = || {
-            let mut local: Vec<(usize, Result<FuncResult, CompileError>)> = Vec::new();
-            loop {
-                let lo = next.fetch_add(chunk, std::sync::atomic::Ordering::Relaxed);
-                if lo >= nmiss {
-                    break;
-                }
-                for &fi in &miss[lo..(lo + chunk).min(nmiss)] {
-                    let f = slots[fi].lock().unwrap().take().expect("slot claimed once");
-                    local.push((fi, process_function(&shared, f, fi, fa_of(fi))));
-                }
-            }
-            let mut out = out.lock().unwrap();
-            for (fi, r) in local {
-                out[fi] = Some(r);
-            }
-        };
-        // worker panics are caught inside process_function, so the scope
-        // join never unwinds; failures arrive as CompileErrors in order.
-        // The calling thread is worker zero — only jobs-1 spawns.
-        std::thread::scope(|s| {
-            for _ in 1..jobs {
-                s.spawn(worker);
-            }
-            worker();
-        });
-        let mut results = out.into_inner().unwrap();
-        for (fi, slot) in cached.iter_mut().enumerate() {
-            if let Some(cf) = slot.take() {
-                results[fi] = Some(Ok(FuncResult::from_cached(*cf)));
-            }
-        }
-        results
-    };
+    // each input slot has its own (uncontended) mutex, so a worker takes
+    // its function by value without fighting over one queue lock. Worker
+    // panics are caught inside process_function, so the fan-out never
+    // unwinds; failures arrive as CompileErrors in order.
+    let slots: Vec<Mutex<Option<Function>>> =
+        funcs.into_iter().map(|f| Mutex::new(Some(f))).collect();
+    let mut compiled = fan_out(cfg.resolved_jobs(), miss.len(), |k| {
+        let fi = miss[k];
+        let f = slots[fi].lock().unwrap().take().expect("slot claimed once");
+        process_function(&shared, f, fi, fa_of(fi))
+    });
 
     // deterministic join: splice lowered functions back in index order and
     // renumber fresh memory sites serially, reproducing serial numbering;
@@ -502,9 +427,12 @@ pub fn try_optimize_cached(
     let mut stats = OptStats::default();
     let mut warnings: Vec<CompileDiag> = cache_warnings;
     let mut dumps: Vec<PassDump> = Vec::new();
-    m.funcs = Vec::with_capacity(results.len());
-    for (fi, slot) in results.iter_mut().enumerate() {
-        let mut r = slot.take().expect("every function processed")?;
+    m.funcs = Vec::with_capacity(nfuncs);
+    for (fi, hit) in cached.into_iter().enumerate() {
+        let mut r = match hit {
+            Some(cf) => FuncResult::from_cached(*cf),
+            None => compiled.next().expect("one result per miss")?,
+        };
         let write_back = match fcache {
             // a cancelled request stops writing entries: the join may still
             // splice results compiled before the deadline, but none of them
@@ -652,6 +580,48 @@ struct StageOutput {
     dumps: Vec<PassDump>,
     /// Diagnostics from repairing stages (`--fence-leaks` site reports).
     warnings: Vec<CompileDiag>,
+}
+
+/// Runs `work(i)` for every `i` in `0..n` on up to `jobs` threads and
+/// yields the results in index order, so callers fold them
+/// deterministically whatever the scheduling. Workers claim chunks of
+/// indices with one atomic `fetch_add` per chunk and keep results
+/// worker-locally, merging them under the output lock once per worker;
+/// the calling thread is worker zero, so only `jobs - 1` threads spawn.
+fn fan_out<T: Send>(
+    jobs: usize,
+    n: usize,
+    work: impl Fn(usize) -> T + Sync,
+) -> impl Iterator<Item = T> {
+    let jobs = jobs.clamp(1, n.max(1));
+    let chunk = (n / (jobs * 8)).clamp(1, 32);
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let out: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
+    let worker = || {
+        let mut local = Vec::new();
+        loop {
+            let lo = next.fetch_add(chunk, std::sync::atomic::Ordering::Relaxed);
+            if lo >= n {
+                break;
+            }
+            for i in lo..(lo + chunk).min(n) {
+                local.push((i, work(i)));
+            }
+        }
+        let mut out = out.lock().unwrap();
+        for (i, r) in local {
+            out[i] = Some(r);
+        }
+    };
+    std::thread::scope(|s| {
+        for _ in 1..jobs {
+            s.spawn(worker);
+        }
+        worker();
+    });
+    let out = out.into_inner().unwrap();
+    assert!(out.iter().all(Option::is_some), "every index claimed");
+    out.into_iter().flatten()
 }
 
 /// The per-function pipeline. Owns `f`; everything else is shared
@@ -993,15 +963,10 @@ fn run_spec_stages(
     };
     // the driver owns the likeliness oracle; HSSA construction and the
     // SSAPRE kernel query the same instance, so their verdicts agree
-    let mode = if !speculative {
-        SpecMode::NoSpeculation
+    let mode = if speculative {
+        sh.opts.data.mode()
     } else {
-        match sh.opts.data {
-            SpecSource::None => SpecMode::NoSpeculation,
-            SpecSource::Profile(p) => SpecMode::Profile(p),
-            SpecSource::Heuristic => SpecMode::Heuristic,
-            SpecSource::Aggressive => SpecMode::Aggressive,
-        }
+        SpecMode::NoSpeculation
     };
     let oracle = Likeliness::with_costs(mode, sh.opts.spec_costs());
 

@@ -182,17 +182,19 @@ impl PassTimings {
     }
 
     /// Human-readable aggregate table (the `specc --time-passes` output):
-    /// every pass with its total wall time and share of the whole
-    /// `optimize` call, sorted most-expensive first (ties keep pipeline
-    /// order — the sort is stable — so the layout is deterministic), then
-    /// the total, the process peak RSS when the OS exposes it cheaply, and
-    /// the dominator-build counter.
+    /// every pass with its time and its share of the summed pass time,
+    /// sorted most-expensive first (ties keep pipeline order — the sort is
+    /// stable — so the layout is deterministic), then the wall-clock total
+    /// of the `optimize` call, the process peak RSS when the OS exposes it
+    /// cheaply, and the dominator-build counter. A pass row sums worker
+    /// time across threads, so at `--jobs N` the rows can add up to more
+    /// than the wall total; the shares are of the row sum and add to 100%.
     pub fn report(&self) -> String {
         fn ms(d: std::time::Duration) -> String {
             format!("{:9.3} ms", d.as_secs_f64() * 1e3)
         }
-        let total = self.total.as_secs_f64();
         let mut rows = self.rows();
+        let summed: f64 = rows.iter().map(|r| r.1.as_secs_f64()).sum();
         rows.sort_by_key(|r| std::cmp::Reverse(r.1));
         let mut s = String::new();
         if self.target.is_empty() {
@@ -200,9 +202,10 @@ impl PassTimings {
         } else {
             s.push_str(&format!("=== pass timings (target: {}) ===\n", self.target));
         }
+        s.push_str("  (time summed over worker threads; share of summed pass time)\n");
         for (name, d) in rows {
-            let pct = if total > 0.0 {
-                100.0 * d.as_secs_f64() / total
+            let pct = if summed > 0.0 {
+                100.0 * d.as_secs_f64() / summed
             } else {
                 0.0
             };
@@ -214,7 +217,7 @@ impl PassTimings {
             };
             s.push_str(&format!("  {name:<14} {} {pct:5.1}%\n", ms(d)));
         }
-        s.push_str(&format!("  {:<14} {}\n", "total", ms(self.total)));
+        s.push_str(&format!("  {:<14} {} wall\n", "total", ms(self.total)));
         if let Some(kb) = peak_rss_kb() {
             s.push_str(&format!("  {:<14} {:>9} kB\n", "peak-rss", kb));
         }
@@ -280,6 +283,29 @@ mod tests {
         ] {
             assert!(r.contains(name), "missing {name} in report");
         }
+    }
+
+    #[test]
+    fn shares_are_of_summed_pass_time() {
+        // a --jobs 2 shape: two workers each spent 80 ms in ssapre and
+        // 20 ms in lower inside 100 ms of wall clock, so the rows sum to
+        // twice the wall total
+        let t = PassTimings {
+            ssapre: std::time::Duration::from_millis(160),
+            lower: std::time::Duration::from_millis(40),
+            total: std::time::Duration::from_millis(100),
+            ..Default::default()
+        };
+        let r = t.report();
+        assert!(r.contains("share of summed pass time"), "{r}");
+        let shares: Vec<f64> = r
+            .lines()
+            .filter_map(|l| l.trim_end().strip_suffix('%'))
+            .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
+            .collect();
+        assert_eq!(shares.len(), t.rows().len(), "{r}");
+        assert!((shares.iter().sum::<f64>() - 100.0).abs() < 0.05, "{r}");
+        assert!(r.contains(" 80.0%") && r.contains(" 20.0%"), "{r}");
     }
 
     #[test]

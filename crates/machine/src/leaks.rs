@@ -407,19 +407,9 @@ pub fn construct_leak_witness_on(
     refuted("no constructed eviction produced a misspeculated taint-to-sink run — refuted".into())
 }
 
-/// Witnesses every site of a static leak report (deterministic: probe and
-/// schedules derive only from the program and arguments).
-pub fn witness_leaks(
-    prog: &MProgram,
-    entry: &str,
-    args: &[Value],
-    fuel: u64,
-    sites: &[LeakSite],
-) -> Vec<LeakWitness> {
-    witness_leaks_on(prog, TargetId::Epic.spec(), entry, args, fuel, sites)
-}
-
-/// Like [`witness_leaks`], but for an explicit target.
+/// Witnesses every site of a static leak report on `target`
+/// (deterministic: probe and schedules derive only from the program and
+/// arguments).
 pub fn witness_leaks_on(
     prog: &MProgram,
     target: &dyn SpecTarget,

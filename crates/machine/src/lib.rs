@@ -41,7 +41,7 @@ pub use isa::{render_mfunc, render_mprogram, ChkKind, LdKind};
 pub use isa::{Label, MFunc, MInst, MOperand, MProgram, Reg};
 pub use leaks::{
     construct_leak_witness, construct_leak_witness_on, fence_func, fence_program, leak_audit_func,
-    leak_audit_program, leak_check_pairs, witness_leaks, witness_leaks_on, LeakSite, LeakWitness,
+    leak_audit_program, leak_check_pairs, witness_leaks_on, LeakSite, LeakWitness,
 };
 pub use policy::{fault_matrix, parse_fault_policy, AlatGeometry, AlatPolicy, FaultAction};
 pub use sim::{

@@ -22,8 +22,10 @@
 //! ```
 //!
 //! * `; RUN: specc %s …` says how to produce the output under test. The
-//!   command is interpreted **in process** against the `specframe` library
-//!   — no subprocess is spawned, so the suite is hermetic and offline.
+//!   command is a `specc` argv, parsed by `specc`'s own flag table
+//!   (`specframe::args`) under `specc`'s defaults, and run **in process**
+//!   against the `specframe` library — no subprocess is spawned, so the
+//!   suite is hermetic and offline.
 //!   `%s` stands for the file's own IR content (every `;` line stripped;
 //!   `#` comments are the IR's own and pass through). With `--dump-after`
 //!   the output is the pass-dump stream; otherwise it is the optimized
@@ -48,4 +50,4 @@ pub mod matcher;
 pub mod runner;
 
 pub use matcher::{run_checks, CheckKind, Directive, MatchFailure};
-pub use runner::{discover, parse_spec, run_case, CaseOutcome, RunSpec, SpecCase};
+pub use runner::{discover, parse_spec, run_case, CaseOutcome, SpecCase};

@@ -7,7 +7,8 @@
 //!                    (default: tests/golden)
 //!   --filter SUBSTR  run only cases whose path contains SUBSTR
 //!   --dump FILE      print FILE's RUN output instead of checking it
-//!                    (the authoring aid: pick lines to pin from this)
+//!                    (the authoring aid: pick lines to pin from this;
+//!                    the overrides below do not apply)
 //!   --verify-each    run every case with pass-boundary verification on
 //!   --audit-spec     run every case with the speculation auditor on
 //!                    (cases may opt out of an override with a
@@ -24,9 +25,13 @@
 //!   -q, --quiet      only print failures and the summary
 //! ```
 //!
+//! The override flags are rows of `specc`'s flag table (`specframe::args`,
+//! its harness context), parsed there.
+//!
 //! Exit status: 0 when every case passes, 1 on any failure, 2 on usage or
 //! discovery errors.
 
+use specframe::args::{takes_next_value, Context};
 use spectest::runner;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -39,33 +44,20 @@ struct Cli {
     quiet: bool,
 }
 
+/// Parses spectest's own switches and paths; every other flag, with its
+/// value, goes to `specc`'s flag table as a suite-wide override.
 fn parse_cli() -> Result<Cli, String> {
-    let mut cli = Cli {
-        paths: Vec::new(),
-        filter: None,
-        dump: None,
-        overrides: runner::RunOverrides::default(),
-        quiet: false,
-    };
+    let mut paths = Vec::new();
+    let mut filter = None;
+    let mut dump = None;
+    let mut quiet = false;
+    let mut overrides = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--filter" => cli.filter = Some(args.next().ok_or("--filter needs a value")?),
-            "--dump" => cli.dump = Some(PathBuf::from(args.next().ok_or("--dump needs a value")?)),
-            "--verify-each" => cli.overrides.verify_each = true,
-            "--audit-spec" => cli.overrides.audit_spec = true,
-            "--audit-leaks" => cli.overrides.audit_leaks = true,
-            "--cache-dir" => {
-                cli.overrides.cache_dir = Some(PathBuf::from(
-                    args.next().ok_or("--cache-dir needs a value")?,
-                ))
-            }
-            "--cache-fault-policy" => {
-                cli.overrides.cache_fault_policy =
-                    Some(args.next().ok_or("--cache-fault-policy needs a value")?)
-            }
-            "--target" => cli.overrides.target = Some(args.next().ok_or("--target needs a value")?),
-            "-q" | "--quiet" => cli.quiet = true,
+            "--filter" => filter = Some(args.next().ok_or("--filter needs a value")?),
+            "--dump" => dump = Some(PathBuf::from(args.next().ok_or("--dump needs a value")?)),
+            "-q" | "--quiet" => quiet = true,
             "--help" | "-h" => {
                 return Err(
                     "usage: spectest [PATHS...] [--filter SUBSTR] [--dump FILE] \
@@ -75,14 +67,26 @@ fn parse_cli() -> Result<Cli, String> {
                         .into(),
                 )
             }
-            other if !other.starts_with('-') => cli.paths.push(PathBuf::from(other)),
-            other => return Err(format!("unknown option `{other}` (try --help)")),
+            other if !other.starts_with('-') => paths.push(PathBuf::from(other)),
+            flag => {
+                let value = takes_next_value(Context::Harness, flag);
+                overrides.push(a);
+                if value {
+                    overrides.extend(args.next());
+                }
+            }
         }
     }
-    if cli.paths.is_empty() {
-        cli.paths.push(PathBuf::from("tests/golden"));
+    if paths.is_empty() {
+        paths.push(PathBuf::from("tests/golden"));
     }
-    Ok(cli)
+    Ok(Cli {
+        paths,
+        filter,
+        dump,
+        overrides: runner::RunOverrides::parse(overrides)?,
+        quiet,
+    })
 }
 
 fn real_main() -> Result<bool, String> {
@@ -94,7 +98,10 @@ fn real_main() -> Result<bool, String> {
         // a RUN line with no checks yet is fine here: --dump exists to
         // produce the text you will then write checks against
         let case = runner::parse_spec(&text).map_err(|e| format!("{}: {e}", file.display()))?;
-        print!("{}", runner::case_output(&case)?);
+        print!(
+            "{}",
+            runner::case_output(&case, &runner::RunOverrides::default())?
+        );
         return Ok(true);
     }
 

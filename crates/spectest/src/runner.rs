@@ -1,36 +1,16 @@
 //! `.spec` file parsing, in-process RUN execution and case discovery.
 
 use crate::matcher::{run_checks, CheckKind, Directive};
+use specframe::args::{Context, Emit, Invocation};
 use specframe::prelude::*;
 use std::path::{Path, PathBuf};
-
-/// One parsed RUN pipeline: a compile request plus the execution mode
-/// riding on it (`--sim` with its fault policies).
-#[derive(Debug, Clone)]
-pub struct RunSpec {
-    /// The compile half of the RUN line.
-    pub req: CompileRequest,
-    /// Simulate on the EPIC machine and check the counter block instead
-    /// of the optimized module text.
-    pub sim: bool,
-    /// ALAT fault policies for `--sim` (default: `default`).
-    pub fault_policies: Vec<String>,
-    /// Secret locations for taint-mode simulation (`--taint-secret`).
-    pub taint_secret: Vec<String>,
-    /// Run the post-compile leak-fencing contract check (set by
-    /// [`RunOverrides::audit_leaks`], not parseable from a RUN line).
-    pub leak_contract: bool,
-    /// Emit the rendered machine lowering of the optimized module
-    /// (`--emit mach`) instead of its IR text, so goldens can pin
-    /// per-target check sequences (`chk.a` vs `chk.cmp` + recovery).
-    pub emit_mach: bool,
-}
 
 /// One parsed golden test.
 #[derive(Debug)]
 pub struct SpecCase {
-    /// The RUN pipelines, in file order (at least one).
-    pub runs: Vec<RunSpec>,
+    /// The RUN lines parsed as `specc` commands, in file order (at least
+    /// one).
+    pub runs: Vec<Invocation>,
     /// The raw RUN command strings (for reporting).
     pub run_lines: Vec<String>,
     /// The check directives, in file order.
@@ -143,140 +123,22 @@ pub fn parse_spec(text: &str) -> Result<SpecCase, String> {
     })
 }
 
-/// Parses a value list of the `--args 0,100` form.
-fn parse_values(s: &str) -> Result<Vec<Value>, String> {
-    if s.is_empty() {
-        return Ok(Vec::new());
-    }
-    s.split(',')
-        .map(|t| {
-            let t = t.trim();
-            if t.contains('.') {
-                t.parse::<f64>()
-                    .map(Value::F)
-                    .map_err(|e| format!("bad float `{t}`: {e}"))
-            } else {
-                t.parse::<i64>()
-                    .map(Value::I)
-                    .map_err(|e| format!("bad int `{t}`: {e}"))
-            }
-        })
-        .collect()
-}
-
-/// Parses a `specc %s …` command into a [`RunSpec`].
-///
-/// The vocabulary is the subset of the real `specc` CLI that makes sense
-/// in a hermetic run: `--entry`, `--args`, `--train-args`, `--spec`,
-/// `--control`, `--target`, `--no-sr`, `--store-sinking`, `--jobs`,
-/// `--fuel`, `--dump-after`, `--stop-after`, `--sim`, `--fault-policy`,
-/// `--emit mach`, `--verify-each`, `--audit-spec`, `--audit-leaks`,
-/// `--fence-leaks`, `--taint-secret`, `--inject-spec-fail`,
-/// `--inject-fallback-fail`, `--inject-corrupt`. Anything else (e.g.
-/// `-o`) is rejected so a `.spec` file cannot silently diverge from what
+/// Parses a `specc %s …` command with `specc`'s own flag table in its
+/// RUN context: the tokens mean what they mean on the command line, under
+/// the same defaults, and flags whose effect lies outside a hermetic run
+/// (`-o`, `--cache-dir`, `--run`, `--reduce`, `--serve`, `--emit hssa`,
+/// …) are rejected, so a `.spec` file cannot silently diverge from what
 /// the harness actually executes.
-pub fn parse_run_command(cmd: &str) -> Result<RunSpec, String> {
+pub fn parse_run_command(cmd: &str) -> Result<Invocation, String> {
     let mut toks = cmd.split_whitespace();
     if toks.next() != Some("specc") {
         return Err("RUN command must start with `specc`".into());
     }
-    let mut rs = RunSpec {
-        req: CompileRequest::default(),
-        sim: false,
-        fault_policies: Vec::new(),
-        taint_secret: Vec::new(),
-        leak_contract: false,
-        emit_mach: false,
-    };
-    let req = &mut rs.req;
-    let mut taint_secret: Vec<String> = Vec::new();
-    let mut saw_input = false;
-    let next_val = |toks: &mut std::str::SplitWhitespace<'_>, flag: &str| {
-        toks.next()
-            .map(str::to_string)
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(t) = toks.next() {
-        match t {
-            "%s" => saw_input = true,
-            "--entry" => req.entry = next_val(&mut toks, t)?,
-            "--args" => req.args = parse_values(&next_val(&mut toks, t)?)?,
-            "--train-args" => req.train_args = Some(parse_values(&next_val(&mut toks, t)?)?),
-            "--spec" => req.spec = next_val(&mut toks, t)?,
-            "--control" => req.control = next_val(&mut toks, t)?,
-            "--target" => req.target = next_val(&mut toks, t)?,
-            "--emit" => match next_val(&mut toks, t)?.as_str() {
-                "mach" => rs.emit_mach = true,
-                "ir" => {}
-                other => return Err(format!("unsupported --emit `{other}` in a RUN line")),
-            },
-            "--no-sr" => req.strength_reduction = false,
-            "--no-lftr" => req.lftr = false,
-            "--store-sinking" => req.store_sinking = true,
-            "--jobs" => {
-                req.jobs = next_val(&mut toks, t)?
-                    .parse()
-                    .map_err(|e| format!("bad --jobs: {e}"))?
-            }
-            "--fuel" => {
-                req.fuel = next_val(&mut toks, t)?
-                    .parse()
-                    .map_err(|e| format!("bad --fuel: {e}"))?
-            }
-            "--dump-after" => req.hooks.dump_after = PassSet::parse_list(&next_val(&mut toks, t)?)?,
-            "--stop-after" => req.hooks.stop_after = Some(next_val(&mut toks, t)?.parse()?),
-            "--sim" => rs.sim = true,
-            "--fault-policy" => rs.fault_policies.push(next_val(&mut toks, t)?),
-            "--inject-spec-fail" => req.hooks.inject_spec_fail = Some(next_val(&mut toks, t)?),
-            "--inject-fallback-fail" => {
-                req.hooks.inject_fallback_fail = Some(next_val(&mut toks, t)?)
-            }
-            "--inject-corrupt" => {
-                req.hooks.inject_corrupt = Some(PipelineHooks::parse_inject_corrupt(&next_val(
-                    &mut toks, t,
-                )?)?)
-            }
-            "--verify-each" => req.hooks.verify_each = true,
-            "--audit-spec" => req.hooks.audit_spec = true,
-            "--audit-leaks" => req.hooks.audit_leaks = true,
-            "--fence-leaks" => req.hooks.fence_leaks = true,
-            "--taint-secret" => {
-                taint_secret.extend(next_val(&mut toks, t)?.split(',').map(str::to_string))
-            }
-            other if other.starts_with("--target=") => {
-                req.target = other["--target=".len()..].to_string()
-            }
-            other if other.starts_with("--taint-secret=") => taint_secret.extend(
-                other["--taint-secret=".len()..]
-                    .split(',')
-                    .map(str::to_string),
-            ),
-            other if other.starts_with("--dump-after=") => {
-                req.hooks.dump_after = PassSet::parse_list(&other["--dump-after=".len()..])?
-            }
-            other if other.starts_with("--stop-after=") => {
-                req.hooks.stop_after = Some(other["--stop-after=".len()..].parse()?)
-            }
-            other if other.starts_with("--fault-policy=") => rs
-                .fault_policies
-                .push(other["--fault-policy=".len()..].to_string()),
-            other => return Err(format!("unsupported RUN token `{other}`")),
-        }
-    }
-    rs.taint_secret = taint_secret;
-    if !saw_input {
+    let inv = Invocation::parse(Context::Run, toks)?;
+    if inv.input.as_deref() != Some("%s") {
         return Err("RUN command must reference the input as `%s`".into());
     }
-    if !rs.fault_policies.is_empty() && !rs.sim {
-        return Err("--fault-policy requires --sim".into());
-    }
-    if !rs.taint_secret.is_empty() && !rs.sim {
-        return Err("--taint-secret requires --sim".into());
-    }
-    if rs.sim && rs.fault_policies.is_empty() {
-        rs.fault_policies.push("default".into());
-    }
-    Ok(rs)
+    Ok(inv)
 }
 
 /// Executes one RUN pipeline over the case's IR and returns the text the
@@ -284,12 +146,11 @@ pub fn parse_run_command(cmd: &str) -> Result<RunSpec, String> {
 /// so goldens can pin recovery diagnostics), then the rendered pass dumps
 /// when `--dump-after` was given, the `--sim` counter block per fault
 /// policy when simulating, and the optimized module otherwise.
-pub fn execute_run(input: &str, rs: &RunSpec) -> Result<String, String> {
-    let req = &rs.req;
-    let target = specframe::machine::TargetId::parse(&req.target)
-        .ok_or_else(|| format!("unknown --target `{}` (expected epic|swr)", req.target))?;
-    let out = compile(input, req).map_err(|e| e.to_string())?;
-    if rs.leak_contract {
+pub fn execute_run(input: &str, inv: &Invocation, leak_contract: bool) -> Result<String, String> {
+    let req = &inv.req;
+    let target = req.target_id()?;
+    let out = compile(input, req)?;
+    if leak_contract {
         check_leak_contract(&out.module, target, &req.entry, &req.args, req.fuel)?;
     }
     let mut text = String::new();
@@ -298,16 +159,12 @@ pub fn execute_run(input: &str, rs: &RunSpec) -> Result<String, String> {
     }
     if !req.hooks.dump_after.is_empty() {
         text.push_str(&render_dumps(&out.dumps));
-    } else if rs.emit_mach {
+    } else if inv.emit == Emit::Mach {
         let prog = specframe::codegen::lower_module_for(&out.module, target.spec());
         text.push_str(&specframe::machine::render_mprogram(&prog));
-    } else if rs.sim {
-        let sim_opts = specframe::pipeline::SimOptions {
-            taint_secret: rs.taint_secret.clone(),
-            fence_leaks: req.hooks.fence_leaks,
-            target,
-        };
-        for policy in &rs.fault_policies {
+    } else if inv.sim {
+        let sim_opts = inv.sim_options()?;
+        for policy in &inv.fault_policies {
             let (_, sim) = specframe::pipeline::simulate_text_with(
                 &out.module,
                 &req.entry,
@@ -315,8 +172,7 @@ pub fn execute_run(input: &str, rs: &RunSpec) -> Result<String, String> {
                 req.fuel,
                 policy,
                 &sim_opts,
-            )
-            .map_err(|e| e.to_string())?;
+            )?;
             text.push_str(&sim);
         }
     } else {
@@ -382,11 +238,12 @@ pub enum CaseOutcome {
     Fail(String),
 }
 
-/// Harness-wide hook overrides (`spectest --verify-each` /
-/// `--audit-spec`): applied on top of every RUN line, so the entire
-/// golden suite can be re-run with pass-boundary verification and the
-/// speculation-safety auditor enabled — any golden whose output changes
-/// under them exposes a pipeline invariant violation.
+/// Harness-wide overrides (`spectest --verify-each --target swr …`):
+/// applied on top of every RUN line, so the entire golden suite can be
+/// re-run with pass-boundary verification, the speculation-safety
+/// auditor, a persistent compile cache or another target — any golden
+/// whose output changes under them exposes a pipeline invariant
+/// violation. Parsed by `specc`'s flag table in its harness context.
 #[derive(Debug, Clone, Default)]
 pub struct RunOverrides {
     /// Force [`PipelineHooks::verify_each`] on every RUN.
@@ -406,9 +263,9 @@ pub struct RunOverrides {
     /// (`spectest --cache-dir`): the cached-path parity harness — the
     /// whole golden suite must produce identical output with caching on,
     /// cold or warm.
-    pub cache_dir: Option<std::path::PathBuf>,
+    pub cache_dir: Option<PathBuf>,
     /// Inject storage faults into the compile cache
-    /// (`spectest --cache-fault-policy`, requires `--cache-dir`): the
+    /// (`spectest --cache-fault-policy`, with `--cache-dir`): the
     /// fault-tolerance parity harness — retries and breaker trips may
     /// happen underneath, but the golden output must not move a byte.
     pub cache_fault_policy: Option<String>,
@@ -418,6 +275,27 @@ pub struct RunOverrides {
     /// machine text, `--explain-spec` verdicts) declare
     /// `; UNSUPPORTED: target` and are counted as skipped.
     pub target: Option<String>,
+}
+
+impl RunOverrides {
+    /// Parses override flags with `specc`'s flag table in its harness
+    /// context; the flags mean what they mean to `specc`, except that
+    /// `--audit-leaks` selects the post-compile leak contract.
+    pub fn parse<S: AsRef<str>>(tokens: impl IntoIterator<Item = S>) -> Result<Self, String> {
+        let mut inv = Invocation::default();
+        // empty: no `--target` given, every RUN keeps its own
+        inv.req.target.clear();
+        inv.apply(Context::Harness, tokens)?;
+        let req = inv.req;
+        Ok(RunOverrides {
+            verify_each: req.hooks.verify_each,
+            audit_spec: req.hooks.audit_spec,
+            audit_leaks: req.hooks.audit_leaks,
+            cache_dir: req.cache_dir,
+            cache_fault_policy: req.cache_fault_policy,
+            target: Some(req.target).filter(|t| !t.is_empty()),
+        })
+    }
 }
 
 /// Runs one golden test file from disk.
@@ -431,7 +309,7 @@ pub fn run_case_with(path: &Path, ov: RunOverrides) -> CaseOutcome {
         Ok(t) => t,
         Err(e) => return CaseOutcome::Fail(format!("cannot read {}: {e}", path.display())),
     };
-    let mut case = match parse_spec(&text) {
+    let case = match parse_spec(&text) {
         Ok(c) => c,
         Err(e) => return CaseOutcome::Fail(e),
     };
@@ -447,24 +325,10 @@ pub fn run_case_with(path: &Path, ov: RunOverrides) -> CaseOutcome {
             return CaseOutcome::Skip(name.to_string());
         }
     }
-    for rs in &mut case.runs {
-        rs.req.hooks.verify_each |= ov.verify_each;
-        rs.req.hooks.audit_spec |= ov.audit_spec;
-        rs.leak_contract |= ov.audit_leaks;
-        if rs.req.cache_dir.is_none() {
-            rs.req.cache_dir = ov.cache_dir.clone();
-        }
-        if rs.req.cache_fault_policy.is_none() {
-            rs.req.cache_fault_policy = ov.cache_fault_policy.clone();
-        }
-        if let Some(t) = &ov.target {
-            rs.req.target = t.clone();
-        }
-    }
     if case.directives.is_empty() {
         return CaseOutcome::Fail("no CHECK directives".into());
     }
-    match case_output(&case) {
+    match case_output(&case, &ov) {
         Ok(output) => match run_checks(&output, &case.directives) {
             Ok(()) => CaseOutcome::Pass,
             Err(f) => CaseOutcome::Fail(f.to_string()),
@@ -473,12 +337,23 @@ pub fn run_case_with(path: &Path, ov: RunOverrides) -> CaseOutcome {
     }
 }
 
-/// The concatenated output of every RUN line of a parsed case.
-pub fn case_output(case: &SpecCase) -> Result<String, String> {
+/// The concatenated output of every RUN line of a parsed case, with the
+/// harness-wide overrides applied on top of each line.
+pub fn case_output(case: &SpecCase, ov: &RunOverrides) -> Result<String, String> {
     let mut output = String::new();
-    for (req, cmd) in case.runs.iter().zip(&case.run_lines) {
+    for (inv, cmd) in case.runs.iter().zip(&case.run_lines) {
+        let mut inv = inv.clone();
+        let hooks = &mut inv.req.hooks;
+        hooks.verify_each |= ov.verify_each;
+        hooks.audit_spec |= ov.audit_spec;
+        inv.req.cache_dir = ov.cache_dir.clone();
+        inv.req.cache_fault_policy = ov.cache_fault_policy.clone();
+        if let Some(t) = &ov.target {
+            inv.req.target = t.clone();
+        }
         output.push_str(
-            &execute_run(&case.input, req).map_err(|e| format!("RUN `specc {cmd}`: {e}"))?,
+            &execute_run(&case.input, &inv, ov.audit_leaks)
+                .map_err(|e| format!("RUN `{cmd}`: {e}"))?,
         );
     }
     Ok(output)
@@ -540,7 +415,7 @@ merge:
     fn end_to_end_case_passes() {
         let case = parse_spec(CASE).unwrap();
         assert_eq!(case.runs.len(), 1);
-        let out = case_output(&case).unwrap();
+        let out = case_output(&case, &RunOverrides::default()).unwrap();
         assert!(run_checks(&out, &case.directives).is_ok(), "{out}");
     }
 
@@ -552,61 +427,30 @@ merge:
     }
 
     #[test]
-    fn run_line_rejects_unsupported_flags() {
-        assert!(parse_run_command("specc %s -o out.ir").is_err());
+    fn run_line_is_a_specc_command() {
+        assert!(parse_run_command("specc %s -o out.ir")
+            .unwrap_err()
+            .contains("unsupported RUN token `-o`"));
+        assert!(parse_run_command("specc %s --emit hssa").is_err());
+        assert_eq!(
+            parse_run_command("specc %s --emit ir").unwrap().emit,
+            Emit::Ir
+        );
         assert!(parse_run_command("cc %s").is_err());
         assert!(parse_run_command("specc --spec none").is_err()); // no %s
-                                                                  // --fault-policy only makes sense under --sim
-        assert!(parse_run_command("specc %s --fault-policy always-miss").is_err());
-    }
-
-    #[test]
-    fn run_line_parses_sim_and_fault_policies() {
-        let rs =
-            parse_run_command("specc %s --sim --fault-policy always-miss --fault-policy random:3")
-                .unwrap();
-        assert!(rs.sim);
-        assert_eq!(rs.fault_policies, ["always-miss", "random:3"]);
-        // --sim alone defaults to the deterministic policy
-        let rs = parse_run_command("specc %s --sim").unwrap();
-        assert_eq!(rs.fault_policies, ["default"]);
+        assert!(parse_run_command("specc other.ir").is_err());
+        // specc's own defaults apply: profile-guided, automatic jobs
+        let inv = parse_run_command("specc %s --target=swr --emit mach").unwrap();
+        assert_eq!((inv.req.spec.as_str(), inv.req.jobs), ("profile", 0));
+        assert_eq!(inv.req.target, "swr");
+        assert_eq!(inv.emit, Emit::Mach);
         // injection hooks ride on the request
-        let rs = parse_run_command("specc %s --inject-spec-fail f").unwrap();
-        assert_eq!(rs.req.hooks.inject_spec_fail.as_deref(), Some("f"));
-    }
-
-    #[test]
-    fn run_line_parses_full_vocabulary() {
-        let req = parse_run_command(
-            "specc %s --entry f --args 1,2 --train-args 3 --spec profile --control profile \
-             --target swr --no-sr --store-sinking --jobs 4 --dump-after=hssa,lower \
-             --stop-after ssapre",
-        )
-        .unwrap()
-        .req;
-        assert_eq!(req.entry, "f");
-        assert_eq!(req.target, "swr");
-        assert_eq!(req.args, vec![Value::I(1), Value::I(2)]);
-        assert_eq!(req.train_args, Some(vec![Value::I(3)]));
-        assert!(!req.strength_reduction && req.store_sinking);
-        assert_eq!(req.jobs, 4);
-        assert!(req.hooks.dump_after.contains(Pass::Hssa));
-        assert!(req.hooks.dump_after.contains(Pass::Lower));
-        assert_eq!(req.hooks.stop_after, Some(Pass::Ssapre));
-    }
-
-    #[test]
-    fn run_line_parses_target_and_emit_mach() {
-        let rs = parse_run_command("specc %s --target=swr --emit mach").unwrap();
-        assert_eq!(rs.req.target, "swr");
-        assert!(rs.emit_mach);
-        // `--emit ir` is the default output and parses as a no-op
-        let rs = parse_run_command("specc %s --emit ir").unwrap();
-        assert!(!rs.emit_mach);
-        assert!(parse_run_command("specc %s --emit hssa").is_err());
-        // a bogus target is rejected at execution time, not parse time
-        let rs = parse_run_command("specc %s --target vliw").unwrap();
-        let e = execute_run("func f() -> i64 {\nentry:\n  ret 0\n}\n", &rs).unwrap_err();
+        let inv = parse_run_command("specc %s --inject-spec-fail f").unwrap();
+        assert_eq!(inv.req.hooks.inject_spec_fail.as_deref(), Some("f"));
+        // a bogus override target is rejected at execution time
+        let mut inv = parse_run_command("specc %s --spec none --control off").unwrap();
+        inv.req.target = "vliw".into();
+        let e = execute_run("func f() -> i64 {\nentry:\n  ret 0\n}\n", &inv, false).unwrap_err();
         assert!(e.contains("unknown --target"), "{e}");
     }
 
@@ -617,13 +461,11 @@ merge:
         let case = dir.join("case.spec");
         std::fs::write(
             &case,
-            "; RUN: specc %s\n; CHECK: func f\nfunc f() -> i64 {\nentry:\n  ret 0\n}\n",
+            "; RUN: specc %s --spec none --control off\n; CHECK: func f\n\
+             func f() -> i64 {\nentry:\n  ret 0\n}\n",
         )
         .unwrap();
-        let ov = RunOverrides {
-            target: Some("swr".into()),
-            ..RunOverrides::default()
-        };
+        let ov = RunOverrides::parse(["--target", "swr"]).unwrap();
         assert!(matches!(
             run_case_with(&case, ov.clone()),
             CaseOutcome::Pass
@@ -632,7 +474,7 @@ merge:
         let pinned = dir.join("pinned.spec");
         std::fs::write(
             &pinned,
-            "; UNSUPPORTED: target\n; RUN: specc %s\n; CHECK: func f\n\
+            "; UNSUPPORTED: target\n; RUN: specc %s --spec none --control off\n; CHECK: func f\n\
              func f() -> i64 {\nentry:\n  ret 0\n}\n",
         )
         .unwrap();

@@ -2,127 +2,15 @@
 //!
 //! ```text
 //! specc INPUT.ir [options]
+//! specc --mega SEED[:FUNCS] [options]
+//! specc --serve | --serve-queue DIR [options]
+//! specc cache stats|clear|verify --cache-dir DIR
+//! ```
 //!
-//!   --entry NAME          entry function (default: main)
-//!   --args N,N,...        arguments for --run / --sim / profiling
-//!   --train-args N,N,...  profiling-run arguments (default: --args)
-//!   --spec MODE           data speculation: none|profile|heuristic|aggressive
-//!                         (default: profile)
-//!   --control MODE        control speculation: off|profile|static
-//!                         (default: profile)
-//!   --target NAME         execution target: epic (hardware ALAT, default)
-//!                         | swr (software checks: compare-and-branch
-//!                         recovery, no ALAT). Selects the lowering hooks
-//!                         and the cost model the profitability oracle
-//!                         weighs, so motion decisions may differ per
-//!                         target on the same input
-//!   --no-sr               disable strength reduction (and with it LFTR)
-//!   --no-lftr             disable linear-function test replacement only
-//!   --store-sinking       enable store promotion
-//!   --explain-spec        print the per-site likeliness-oracle decision
-//!                         table (source, evidence, flagged χ/μ counts)
-//!   --alias-profile FILE  reuse a saved alias profile instead of a training
-//!                         run; an unusable profile degrades the compile to
-//!                         the heuristic rules with a warning
-//!   --save-alias-profile FILE
-//!                         serialize the alias profile this compile used
-//!   --emit WHAT           ir (optimized IR, default) | hssa (speculative
-//!                         SSA dump of every function before optimization)
-//!                         | mach (rendered machine code of the optimized
-//!                         module lowered for the active --target)
-//!   -o FILE               write the optimized IR to FILE (default: stdout)
-//!   --run                 interpret the optimized program and print result
-//!   --sim                 run it on the EPIC simulator and print counters
-//!   --fault-policy SPEC   ALAT fault policy for --sim (repeatable):
-//!                         default | geom:E:W | always-miss | forced-miss |
-//!                         random:SEED[:DENOM] | flash-clear[:PERIOD] |
-//!                         evict-at:N[:N...]
-//!   --stats               print optimizer statistics
-//!   --jobs N              worker threads for the per-function pipeline
-//!                         (0 = auto: $SPECFRAME_JOBS, else all cores)
-//!   --time-passes         print per-pass wall times to stderr
-//!   --dump-after PASSES   print the textual form of every function after
-//!                         each named stage and exit (comma-separated from:
-//!                         refine, hssa, ssapre, strength, lftr, storeprom,
-//!                         lower);
-//!                         byte-deterministic at any --jobs level
-//!   --stop-after PASS     run the pipeline only through the named stage
-//!   --verify-each         run the structural verifier (IR level after
-//!                         refine/lower, the HSSA checker after every
-//!                         HSSA-level stage) at every pass boundary;
-//!                         failures are attributed `pass=<p> fn=<f> bb=<n>`
-//!                         and feed the per-function degradation ladder
-//!   --audit-spec          after lowering, prove every advanced load in the
-//!                         machine code is validated by a matching check on
-//!                         every path (the speculation-safety auditor)
-//!   --audit-leaks         after lowering, reject any function in whose
-//!                         machine code an advanced-load value can reach an
-//!                         address computation or branch condition before
-//!                         its check (the speculative-leak auditor); each
-//!                         reported site is then witnessed — or refuted —
-//!                         by a seeded forced-eviction simulator run whose
-//!                         `evict-at:N` policy string is printed for replay
-//!   --fence-leaks         like --audit-leaks, but repair instead of
-//!                         reject: a speculation barrier is inserted before
-//!                         each flagged sink so the re-audit comes back
-//!                         clean (the emitted IR is unchanged; fences are a
-//!                         machine-level transform applied at lowering)
-//!   --taint-secret LOC[,LOC...]
-//!                         with --sim: mark secret inputs (`@global` marks
-//!                         every word of that global, a bare integer one
-//!                         word address), track potentially-misspeculated
-//!                         flow into addresses and branch conditions during
-//!                         each speculation window, and print the
-//!                         taint/leak counter rows after the counter block
-//!   --reduce              on a compile or result-mismatch failure, shrink
-//!                         the input to a minimal module that still fails
-//!                         the same way, print it with a `; reduce:` stats
-//!                         header, and exit 0
-//!   --inject-spec-fail FUNC / --inject-fallback-fail FUNC
-//!                         fault-injection hooks for testing the recovery
-//!                         path: make FUNC's (fallback) compile panic
-//!   --inject-corrupt FUNC:PASS
-//!                         corrupt FUNC's HSSA right after PASS, exercising
-//!                         --verify-each and the per-pass rollback rung
-//!   --cache-dir DIR       persistent per-function compile cache (also via
-//!                         SPECFRAME_CACHE_DIR; the flag wins). Hits replay
-//!                         stored lowerings byte-identically; stale or
-//!                         corrupt entries degrade to a fresh compile with
-//!                         a warning
-//!   --cache-fault-policy SPEC
-//!                         wrap the cache's storage in a seeded,
-//!                         deterministic fault injector (exercises the
-//!                         retry/circuit-breaker path): enospc:N |
-//!                         eio-read:SEED[:DENOM] | torn-write:N |
-//!                         latency:MS. Module output bytes never change
-//!                         under any policy; only the retry / io-error
-//!                         counters and cache warnings move
-//!   --cache-retries N     transient cache-I/O retry budget per operation
-//!                         (default: 2). Exhaustion — or any permanent
-//!                         error such as ENOSPC — trips a per-session
-//!                         circuit breaker that degrades the rest of the
-//!                         session to cache-off with a warning
-//!   --deadline-ms N       cooperative compile deadline: a watchdog arms a
-//!                         cancellation token checked at pass boundaries
-//!                         and between functions; on expiry the compile
-//!                         aborts with exit code 5 and writes no partial
-//!                         cache entries
-//!   --serve               compile service: read requests from stdin
-//!                         (`compile PATH [-o OUT] [--deadline-ms N]`,
-//!                         `mega SEED[:FUNCS] [-o OUT]`, `stats`, `quit`),
-//!                         answer one status line per request on stdout; a
-//!                         deadline expiry answers `err ... code=5
-//!                         msg=deadline` and the service keeps serving
-//!   --serve-queue DIR     drain every *.req file in DIR (sorted), writing
-//!                         <stem>.resp beside each, then exit. The drain is
-//!                         crash-safe and idempotent: requests that already
-//!                         have a .resp are skipped, malformed or
-//!                         unreadable requests are quarantined to
-//!                         <stem>.err (the drain keeps going), and an
-//!                         open-time fsck sweeps orphaned .resp.tmp files
-//!                         and stale cache .tmp-* debris left by a crash
-//!   --verbose             with --serve: per-function `fn NAME outcome`
-//!                         lines before each `ok` response
+//! The options are the rows of the flag table in [`specframe::args`];
+//! `specc --help` prints them. A golden test's `; RUN:` line is a `specc`
+//! command parsed by the same table. One-shot `specc` interprets the
+//! program only when `--run`, `--sim` or `--reduce` uses the result.
 //!
 //! Cache maintenance subcommands (need a cache directory):
 //!
@@ -132,7 +20,6 @@
 //!                                        list offenders if any fail; also
 //!                                        reports .tmp-* debris and sweeps
 //!                                        the stale ones
-//! ```
 //!
 //! Exit codes: 0 success, 1 usage/IO error, 2 input parse or verification
 //! error, 3 compile/run failure, 4 speculative-compilation recovery
@@ -146,327 +33,28 @@
 //!       --fault-policy always-miss --fault-policy random:7
 //! ```
 
+use specframe::args::{Context, Emit, Invocation};
 use specframe::pipeline::CompileFailure;
 use specframe::prelude::*;
 use std::process::ExitCode;
 
-struct Cli {
-    input: String,
-    /// `specc cache <action>` maintenance mode.
-    cache_cmd: Option<String>,
-    mega: Option<(u64, usize)>,
-    entry: String,
-    args: Vec<Value>,
-    train_args: Vec<Value>,
-    spec: String,
-    control: String,
-    target: String,
-    sr: bool,
-    lftr: bool,
-    store_sinking: bool,
-    explain_spec: bool,
-    alias_profile: Option<String>,
-    save_alias_profile: Option<String>,
-    emit: String,
-    out: Option<String>,
-    run: bool,
-    sim: bool,
-    fault_policies: Vec<String>,
-    stats: bool,
-    jobs: usize,
-    time_passes: bool,
-    dump_after: PassSet,
-    stop_after: Option<Pass>,
-    inject_spec_fail: Option<String>,
-    inject_fallback_fail: Option<String>,
-    inject_corrupt: Option<(String, Pass)>,
-    verify_each: bool,
-    audit_spec: bool,
-    audit_leaks: bool,
-    fence_leaks: bool,
-    taint_secret: Vec<String>,
-    reduce: bool,
-    fuel: u64,
-    cache_dir: Option<std::path::PathBuf>,
-    /// `--cache-fault-policy`: storage fault injection spec (validated at
-    /// parse time, applied when the cache opens).
-    cache_fault_policy: Option<String>,
-    /// `--cache-retries`: transient cache-I/O retry budget per operation.
-    cache_retries: u32,
-    /// `--deadline-ms`: cooperative compile deadline in milliseconds.
-    deadline_ms: Option<u64>,
-    serve: bool,
-    serve_queue: Option<std::path::PathBuf>,
-    verbose: bool,
+fn usage(msg: String) -> CompileFailure {
+    CompileFailure::Usage(msg)
 }
 
-fn parse_values(s: &str) -> Result<Vec<Value>, String> {
-    if s.is_empty() {
-        return Ok(Vec::new());
-    }
-    s.split(',')
-        .map(|t| {
-            let t = t.trim();
-            if t.contains('.') {
-                t.parse::<f64>()
-                    .map(Value::F)
-                    .map_err(|e| format!("bad float `{t}`: {e}"))
-            } else {
-                t.parse::<i64>()
-                    .map(Value::I)
-                    .map_err(|e| format!("bad int `{t}`: {e}"))
-            }
-        })
-        .collect()
-}
-
-/// Splits a `--taint-secret` argument (`LOC[,LOC...]`) into the CLI's
-/// accumulated secret list; the specs resolve against the module's global
-/// layout at simulation time.
-fn push_taint_secrets(into: &mut Vec<String>, arg: &str) {
-    into.extend(
-        arg.split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(str::to_string),
-    );
-}
-
-fn parse_cli() -> Result<Cli, String> {
-    let mut args = std::env::args().skip(1);
-    let mut cli = Cli {
-        input: String::new(),
-        cache_cmd: None,
-        mega: None,
-        entry: "main".into(),
-        args: Vec::new(),
-        train_args: Vec::new(),
-        spec: "profile".into(),
-        control: "profile".into(),
-        target: "epic".into(),
-        sr: true,
-        lftr: true,
-        store_sinking: false,
-        explain_spec: false,
-        alias_profile: None,
-        save_alias_profile: None,
-        emit: "ir".into(),
-        out: None,
-        run: false,
-        sim: false,
-        fault_policies: Vec::new(),
-        stats: false,
-        jobs: 0,
-        time_passes: false,
-        dump_after: PassSet::EMPTY,
-        stop_after: None,
-        inject_spec_fail: None,
-        inject_fallback_fail: None,
-        inject_corrupt: None,
-        verify_each: false,
-        audit_spec: false,
-        audit_leaks: false,
-        fence_leaks: false,
-        taint_secret: Vec::new(),
-        reduce: false,
-        fuel: 100_000_000,
-        cache_dir: None,
-        cache_fault_policy: None,
-        cache_retries: specframe::core::cache::DEFAULT_RETRY_BUDGET,
-        deadline_ms: None,
-        serve: false,
-        serve_queue: None,
-        verbose: false,
-    };
-    let mut train_set = false;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--entry" => cli.entry = args.next().ok_or("--entry needs a value")?,
-            "--args" => cli.args = parse_values(&args.next().ok_or("--args needs a value")?)?,
-            "--train-args" => {
-                cli.train_args = parse_values(&args.next().ok_or("--train-args needs a value")?)?;
-                train_set = true;
-            }
-            "--mega" => {
-                let v = args.next().ok_or("--mega needs SEED[:FUNCS]")?;
-                let (seed, funcs) = match v.split_once(':') {
-                    Some((s, f)) => (
-                        s.parse().map_err(|e| format!("bad --mega seed: {e}"))?,
-                        f.parse().map_err(|e| format!("bad --mega funcs: {e}"))?,
-                    ),
-                    None => (
-                        v.parse().map_err(|e| format!("bad --mega seed: {e}"))?,
-                        1000,
-                    ),
-                };
-                cli.mega = Some((seed, funcs));
-            }
-            "--spec" => cli.spec = args.next().ok_or("--spec needs a value")?,
-            "--control" => cli.control = args.next().ok_or("--control needs a value")?,
-            "--target" => cli.target = args.next().ok_or("--target needs a value")?,
-            other if other.starts_with("--target=") => {
-                cli.target = other["--target=".len()..].to_string()
-            }
-            "--no-sr" => cli.sr = false,
-            "--no-lftr" => cli.lftr = false,
-            "--store-sinking" => cli.store_sinking = true,
-            "--explain-spec" => cli.explain_spec = true,
-            "--alias-profile" => {
-                cli.alias_profile = Some(args.next().ok_or("--alias-profile needs a value")?)
-            }
-            "--save-alias-profile" => {
-                cli.save_alias_profile =
-                    Some(args.next().ok_or("--save-alias-profile needs a value")?)
-            }
-            "--emit" => cli.emit = args.next().ok_or("--emit needs a value")?,
-            "-o" => cli.out = Some(args.next().ok_or("-o needs a value")?),
-            "--run" => cli.run = true,
-            "--sim" => cli.sim = true,
-            "--fault-policy" => cli
-                .fault_policies
-                .push(args.next().ok_or("--fault-policy needs a value")?),
-            other if other.starts_with("--fault-policy=") => cli
-                .fault_policies
-                .push(other["--fault-policy=".len()..].to_string()),
-            "--stats" => cli.stats = true,
-            "--jobs" => {
-                cli.jobs = args
-                    .next()
-                    .ok_or("--jobs needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --jobs: {e}"))?
-            }
-            "--time-passes" => cli.time_passes = true,
-            "--dump-after" => {
-                cli.dump_after =
-                    PassSet::parse_list(&args.next().ok_or("--dump-after needs a value")?)?
-            }
-            other if other.starts_with("--dump-after=") => {
-                cli.dump_after = PassSet::parse_list(&other["--dump-after=".len()..])?
-            }
-            "--stop-after" => {
-                cli.stop_after = Some(args.next().ok_or("--stop-after needs a value")?.parse()?)
-            }
-            other if other.starts_with("--stop-after=") => {
-                cli.stop_after = Some(other["--stop-after=".len()..].parse()?)
-            }
-            "--inject-spec-fail" => {
-                cli.inject_spec_fail = Some(args.next().ok_or("--inject-spec-fail needs a value")?)
-            }
-            "--inject-fallback-fail" => {
-                cli.inject_fallback_fail =
-                    Some(args.next().ok_or("--inject-fallback-fail needs a value")?)
-            }
-            "--inject-corrupt" => {
-                cli.inject_corrupt = Some(PipelineHooks::parse_inject_corrupt(
-                    &args.next().ok_or("--inject-corrupt needs a value")?,
-                )?)
-            }
-            "--verify-each" => cli.verify_each = true,
-            "--audit-spec" => cli.audit_spec = true,
-            "--audit-leaks" => cli.audit_leaks = true,
-            "--fence-leaks" => cli.fence_leaks = true,
-            "--taint-secret" => push_taint_secrets(
-                &mut cli.taint_secret,
-                &args.next().ok_or("--taint-secret needs a value")?,
-            ),
-            other if other.starts_with("--taint-secret=") => {
-                push_taint_secrets(&mut cli.taint_secret, &other["--taint-secret=".len()..])
-            }
-            "--reduce" => cli.reduce = true,
-            "--cache-dir" => {
-                cli.cache_dir = Some(args.next().ok_or("--cache-dir needs a value")?.into())
-            }
-            "--cache-fault-policy" => {
-                let spec = args.next().ok_or("--cache-fault-policy needs a value")?;
-                // validate eagerly so a typo fails before any work starts
-                specframe::core::parse_store_fault_policy(&spec)?;
-                cli.cache_fault_policy = Some(spec);
-            }
-            "--cache-retries" => {
-                cli.cache_retries = args
-                    .next()
-                    .ok_or("--cache-retries needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --cache-retries: {e}"))?
-            }
-            "--deadline-ms" => {
-                cli.deadline_ms = Some(
-                    args.next()
-                        .ok_or("--deadline-ms needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad --deadline-ms: {e}"))?,
-                )
-            }
-            "--serve" => cli.serve = true,
-            "--serve-queue" => {
-                cli.serve_queue = Some(args.next().ok_or("--serve-queue needs a value")?.into())
-            }
-            "--verbose" => cli.verbose = true,
-            "--fuel" => {
-                cli.fuel = args
-                    .next()
-                    .ok_or("--fuel needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad fuel: {e}"))?
-            }
-            "--help" | "-h" => {
-                return Err("usage: specc INPUT.ir [--entry NAME] [--args N,..] \
-                            [--spec none|profile|heuristic|aggressive] \
-                            [--control off|profile|static] [--target epic|swr] \
-                            [--no-sr] [--no-lftr] \
-                            [--store-sinking] [--explain-spec] [--alias-profile FILE] \
-                            [--save-alias-profile FILE] [--emit ir|hssa|mach] [-o FILE] \
-                            [--run] [--sim] [--fault-policy SPEC].. [--stats] \
-                            [--jobs N] [--time-passes]\n\
-                            [--dump-after refine|hssa|ssapre|strength|lftr|storeprom|lower[,..]]\n\
-                            [--stop-after PASS] [--verify-each] [--audit-spec] \
-                            [--audit-leaks] [--fence-leaks] \
-                            [--taint-secret LOC,..] [--reduce] \
-                            [--inject-spec-fail FUNC] [--inject-fallback-fail FUNC] \
-                            [--inject-corrupt FUNC:PASS] [--cache-dir DIR] \
-                            [--cache-fault-policy SPEC] [--cache-retries N] \
-                            [--deadline-ms N] \
-                            [--serve] [--serve-queue DIR] [--verbose]\n\
-                            cache maintenance: specc cache stats|clear|verify \
-                            --cache-dir DIR\n\
-                            --fault-policy: default | geom:E:W | always-miss | \
-                            forced-miss | random:SEED[:DENOM] | flash-clear[:PERIOD] | \
-                            evict-at:N[:N...]\n\
-                            --cache-fault-policy: enospc:N | \
-                            eio-read:SEED[:DENOM] | torn-write:N | latency:MS\n\
-                            --audit-leaks rejects (and --fence-leaks repairs) \
-                            machine code where a speculative load's value \
-                            reaches an address or branch before its check; \
-                            --taint-secret LOC[,LOC..] (with --sim) marks \
-                            `@global` words or bare word addresses secret and \
-                            tracks misspeculated flow to those sinks\n\
-                            --jobs 0 (the default) auto-detects: the \
-                            SPECFRAME_JOBS environment variable if set to a \
-                            positive integer, otherwise all available cores"
-                    .into())
-            }
-            other if !other.starts_with('-') && cli.input.is_empty() => {
-                cli.input = other.to_string()
-            }
-            // `specc cache stats|clear|verify`: the action is the second
-            // positional
-            other if !other.starts_with('-') && cli.input == "cache" && cli.cache_cmd.is_none() => {
-                cli.cache_cmd = Some(other.to_string())
-            }
-            other => return Err(format!("unknown option `{other}` (try --help)")),
-        }
-    }
+/// The argv-only rules: which modes combine, and the environment's cache
+/// directory under the flag.
+fn check_modes(inv: &mut Invocation) -> Result<(), String> {
     // the flag wins over the environment
-    if cli.cache_dir.is_none() {
+    if inv.req.cache_dir.is_none() {
         if let Ok(dir) = std::env::var("SPECFRAME_CACHE_DIR") {
             if !dir.is_empty() {
-                cli.cache_dir = Some(dir.into());
+                inv.req.cache_dir = Some(dir.into());
             }
         }
     }
-    if cli.input == "cache" {
-        match cli.cache_cmd.as_deref() {
+    if inv.input.as_deref() == Some("cache") {
+        match inv.cache_cmd.as_deref() {
             Some("stats" | "clear" | "verify") => {}
             Some(other) => {
                 return Err(format!(
@@ -475,81 +63,57 @@ fn parse_cli() -> Result<Cli, String> {
             }
             None => return Err("`specc cache` needs an action: stats, clear or verify".into()),
         }
-        if cli.cache_dir.is_none() {
+        if inv.req.cache_dir.is_none() {
             return Err("`specc cache` needs --cache-dir DIR (or SPECFRAME_CACHE_DIR)".into());
         }
-        return Ok(cli);
+        return Ok(());
     }
-    if cli.serve && cli.serve_queue.is_some() {
+    if inv.serve && inv.serve_queue.is_some() {
         return Err("--serve and --serve-queue are mutually exclusive".into());
     }
-    if cli.serve || cli.serve_queue.is_some() {
-        if !cli.input.is_empty() || cli.mega.is_some() {
+    if inv.serve || inv.serve_queue.is_some() {
+        if inv.input.is_some() || inv.mega.is_some() {
             return Err("serve mode reads requests; drop the input file / --mega".into());
         }
-        if cli.run || cli.sim || cli.reduce {
+        if inv.needs_reference() {
             return Err("serve mode is compile-only (no --run/--sim/--reduce)".into());
         }
-        return Ok(cli);
+        return Ok(());
     }
-    if cli.mega.is_some() {
-        if !cli.input.is_empty() {
+    if inv.mega.is_some() {
+        if inv.input.is_some() {
             return Err("--mega generates the input; drop the input file".into());
         }
-        if cli.run || cli.sim || cli.reduce {
+        if inv.needs_reference() {
             return Err("--mega is compile-only (no --run/--sim/--reduce)".into());
         }
-        // The synthetic module has no entry to train on; profile-guided
-        // speculation needs a real program. Degrade both defaults.
-        if cli.spec == "profile" {
-            cli.spec = "heuristic".into();
-        }
-        if cli.control == "profile" {
-            cli.control = "static".into();
-        }
-    } else if cli.input.is_empty() {
+        // the synthetic module has no entry to train on
+        inv.req.degrade_untrained();
+    } else if inv.input.is_none() {
         return Err("no input file (try --help)".into());
     }
-    if !train_set {
-        cli.train_args = cli.args.clone();
-    }
-    if cli.fault_policies.is_empty() {
-        cli.fault_policies.push("default".into());
-    } else if !cli.sim {
-        return Err("--fault-policy requires --sim".into());
-    }
-    if !cli.taint_secret.is_empty() && !cli.sim {
-        return Err("--taint-secret requires --sim".into());
-    }
-    Ok(cli)
-}
-
-fn usage(msg: String) -> CompileFailure {
-    CompileFailure::Usage(msg)
+    Ok(())
 }
 
 fn real_main() -> Result<(), CompileFailure> {
-    let cli = parse_cli().map_err(usage)?;
-    if cli.cache_cmd.is_some() {
-        return run_cache_cmd(&cli);
+    let mut inv = Invocation::parse(Context::Argv, std::env::args().skip(1)).map_err(usage)?;
+    check_modes(&mut inv).map_err(usage)?;
+    if inv.cache_cmd.is_some() {
+        return run_cache_cmd(&inv);
     }
-    if cli.serve || cli.serve_queue.is_some() {
-        return run_serve(&cli);
+    if inv.serve || inv.serve_queue.is_some() {
+        return run_serve(inv);
     }
-    // validate policy specs and the target name before doing any work
-    for p in &cli.fault_policies {
-        specframe::machine::parse_fault_policy(p).map_err(usage)?;
-    }
-    let target = specframe::machine::TargetId::parse(&cli.target)
-        .ok_or_else(|| usage(format!("unknown --target `{}` (epic|swr)", cli.target)))?;
-    let mut m = match cli.mega {
+    let target = inv.req.target_id()?;
+    let input = inv.input.as_deref().unwrap_or("");
+    let mut m = match inv.mega {
         Some((seed, funcs)) => specframe::workloads::mega_module(seed, funcs),
         None => {
-            let src = std::fs::read_to_string(&cli.input)
-                .map_err(|e| usage(format!("cannot read {}: {e}", cli.input)))?;
-            let m = parse_module(&src)
-                .map_err(|e| CompileFailure::Parse(format!("{}: {e}", cli.input)))?;
-            verify_module(&m).map_err(|e| CompileFailure::Parse(format!("{}: {e}", cli.input)))?;
+            let src = std::fs::read_to_string(input)
+                .map_err(|e| usage(format!("cannot read {input}: {e}")))?;
+            let m =
+                parse_module(&src).map_err(|e| CompileFailure::Parse(format!("{input}: {e}")))?;
+            verify_module(&m).map_err(|e| CompileFailure::Parse(format!("{input}: {e}")))?;
             m
         }
     };
@@ -557,109 +121,40 @@ fn real_main() -> Result<(), CompileFailure> {
     // Input-side shape for the --time-passes throughput line (the
     // optimized module's instruction count would move with the optimizer).
     let input_shape = (m.funcs.len(), specframe::workloads::inst_count(&m));
+    let req = &inv.req;
 
-    // The mega-module is a compiler-throughput workload: it has no entry
-    // point to interpret, so skip the reference run (`--run`/`--sim` are
-    // rejected at parse time).
-    let expect = if cli.mega.is_some() {
-        None
-    } else {
-        if m.func_by_name(&cli.entry).is_none() {
-            return Err(usage(format!(
-                "no function `{}` in {}",
-                cli.entry, cli.input
-            )));
+    // the reference result, interpreted only when something compares
+    // against it
+    let expect = if inv.needs_reference() {
+        if m.func_by_name(&req.entry).is_none() {
+            return Err(usage(format!("no function `{}` in {input}", req.entry)));
         }
-        let (expect, _) = run(&m, &cli.entry, &cli.args, cli.fuel).map_err(|e| {
-            CompileFailure::Compile(specframe::core::CompileError {
-                function: String::new(),
-                pass: "reference-run".into(),
-                message: format!("reference run failed: {e}"),
-                fallback_exhausted: false,
-            })
+        let (expect, _) = run(&m, &req.entry, &req.args, req.fuel).map_err(|e| {
+            CompileFailure::internal("reference-run", format!("reference run failed: {e}"))
         })?;
         expect
+    } else {
+        None
     };
 
-    if cli.emit == "hssa" {
-        let mut aprof = None;
-        if cli.spec == "profile" {
-            let mut ap = AliasProfiler::new();
-            run_with(&m, &cli.entry, &cli.train_args, cli.fuel, &mut ap).map_err(|e| {
-                CompileFailure::Compile(specframe::core::CompileError {
-                    function: String::new(),
-                    pass: "profile".into(),
-                    message: format!("profiling run failed: {e}"),
-                    fallback_exhausted: false,
-                })
-            })?;
-            aprof = Some(ap.finish());
+    if inv.emit == Emit::Hssa {
+        let (text, warnings) = specframe::pipeline::render_hssa(m, req)?;
+        for w in &warnings {
+            eprintln!("specc: warning: {w}");
         }
-        let aa = AliasAnalysis::analyze(&m);
-        let mut out = String::new();
-        for fi in 0..m.funcs.len() {
-            let fid = specframe::ir::FuncId::from_index(fi);
-            let mode = match (cli.spec.as_str(), &aprof) {
-                ("profile", Some(p)) => SpecMode::Profile(p),
-                ("heuristic", _) => SpecMode::Heuristic,
-                ("aggressive", _) => SpecMode::Aggressive,
-                _ => SpecMode::NoSpeculation,
-            };
-            let hf = build_hssa(&m, fid, &aa, mode);
-            out.push_str(&print_hssa(&m, &hf));
-            out.push('\n');
-        }
-        emit(&cli, &out).map_err(usage)?;
-        return Ok(());
+        return emit(&inv, &text).map_err(usage);
     }
 
-    let alias_profile = match &cli.alias_profile {
-        Some(path) => Some(
-            std::fs::read_to_string(path).map_err(|e| usage(format!("cannot read {path}: {e}")))?,
-        ),
-        None => None,
-    };
-    let req = CompileRequest {
-        entry: cli.entry.clone(),
-        args: cli.args.clone(),
-        train_args: Some(cli.train_args.clone()),
-        spec: cli.spec.clone(),
-        control: cli.control.clone(),
-        target: cli.target.clone(),
-        strength_reduction: cli.sr,
-        lftr: cli.lftr,
-        store_sinking: cli.store_sinking,
-        explain_spec: cli.explain_spec,
-        jobs: cli.jobs,
-        hooks: PipelineHooks {
-            dump_after: cli.dump_after,
-            stop_after: cli.stop_after,
-            inject_spec_fail: cli.inject_spec_fail.clone(),
-            inject_fallback_fail: cli.inject_fallback_fail.clone(),
-            verify_each: cli.verify_each,
-            audit_spec: cli.audit_spec,
-            inject_corrupt: cli.inject_corrupt.clone(),
-            audit_leaks: cli.audit_leaks,
-            fence_leaks: cli.fence_leaks,
-            cancel: Default::default(),
-        },
-        fuel: cli.fuel,
-        alias_profile,
-        cache_dir: cli.cache_dir.clone(),
-        cache_fault_policy: cli.cache_fault_policy.clone(),
-        cache_retries: cli.cache_retries,
-        cache_health: Default::default(),
-        deadline_ms: cli.deadline_ms,
-    };
     // keep the input around so a failure can be shrunk to a minimal repro
     // (and so an --audit-leaks rejection can be adversarially witnessed)
-    let input_for_reduce = cli.reduce.then(|| m.clone());
+    let input_for_reduce = inv.reduce.then(|| m.clone());
+    let hooks = &req.hooks;
     let input_for_witness =
-        ((cli.audit_leaks || cli.fence_leaks) && cli.mega.is_none()).then(|| m.clone());
-    let out = match compile_module(m, &req) {
+        ((hooks.audit_leaks || hooks.fence_leaks) && inv.mega.is_none()).then(|| m.clone());
+    let out = match compile_module(m, req) {
         Ok(out) => out,
-        Err(e @ CompileFailure::Compile(_)) if cli.reduce => {
-            return reduce_and_report(&cli, input_for_reduce.as_ref().unwrap(), &req, &e, false);
+        Err(e @ CompileFailure::Compile(_)) if inv.reduce => {
+            return reduce_and_report(&inv, input_for_reduce.as_ref().unwrap(), &e, false);
         }
         Err(e) => {
             // close the loop adversarially: re-derive the input lowering's
@@ -670,7 +165,7 @@ fn real_main() -> Result<(), CompileFailure> {
             if let (CompileFailure::Compile(ce), Some(orig)) = (&e, &input_for_witness) {
                 if ce.pass == "audit-leaks" {
                     let text = specframe::pipeline::witness_leaks_text(
-                        orig, target, &cli.entry, &cli.args, cli.fuel,
+                        orig, target, &req.entry, &req.args, req.fuel,
                     );
                     for line in text.lines() {
                         eprintln!("specc: {line}");
@@ -691,24 +186,24 @@ fn real_main() -> Result<(), CompileFailure> {
     // every fenced site is also witnessed against the *unfenced* lowering
     // of the optimized module (the emitted IR carries no fences — they are
     // re-applied at machine level), proving each repaired leak was real
-    if cli.fence_leaks && report.stats.leak_sites_flagged > 0 && cli.mega.is_none() {
+    if hooks.fence_leaks && report.stats.leak_sites_flagged > 0 && inv.mega.is_none() {
         let text =
-            specframe::pipeline::witness_leaks_text(&m, target, &cli.entry, &cli.args, cli.fuel);
+            specframe::pipeline::witness_leaks_text(&m, target, &req.entry, &req.args, req.fuel);
         for line in text.lines() {
             eprintln!("specc: {line}");
         }
     }
-    if cli.stats {
+    if inv.stats {
         eprintln!("optimizer: {:?}", report.stats);
     }
-    if cli.cache_dir.is_some() && (cli.stats || cli.time_passes) {
+    if req.cache_dir.is_some() && (inv.stats || inv.time_passes) {
         let c = report.cache;
         eprintln!(
             "cache: {} hits, {} misses, {} stale, {} evicts, {} retries, {} io errors, {} breaker trips",
             c.hits, c.misses, c.stale, c.evicts, c.retries, c.io_errors, c.breaker_trips
         );
     }
-    if cli.time_passes {
+    if inv.time_passes {
         eprint!("{}", report.timings.report());
         let secs = report.timings.total.as_secs_f64();
         if secs > 0.0 {
@@ -720,93 +215,67 @@ fn real_main() -> Result<(), CompileFailure> {
             );
         }
     }
-    if let Some(path) = &cli.save_alias_profile {
+    if let Some(path) = &inv.save_alias_profile {
         let prof = out.alias_profile.as_ref().ok_or_else(|| {
             usage("--save-alias-profile needs --spec profile (no profile was collected)".into())
         })?;
         let text = specframe::profile::write_alias_profile(prof);
         std::fs::write(path, text).map_err(|e| usage(format!("cannot write {path}: {e}")))?;
     }
-    if !cli.dump_after.is_empty() {
+    if !hooks.dump_after.is_empty() {
         // dump mode: the per-pass snapshots are the product
-        emit(&cli, &specframe::core::render_dumps(&out.dumps)).map_err(usage)?;
-        return Ok(());
+        return emit(&inv, &specframe::core::render_dumps(&out.dumps)).map_err(usage);
     }
-    if cli.emit == "mach" {
+    if inv.emit == Emit::Mach {
         // machine-code mode: the rendered lowering for the active target
         // is the product (the same lowering --sim executes)
         let prog = specframe::codegen::lower_module_for(&m, target.spec());
-        emit(&cli, &specframe::machine::render_mprogram(&prog)).map_err(usage)?;
-        return Ok(());
+        return emit(&inv, &specframe::machine::render_mprogram(&prog)).map_err(usage);
     }
 
+    // a result that differs from the reference run is a miscompile, which
+    // ends the run: reported, or with --reduce shrunk to a repro (exit 0)
     let miscompile = |what: &str, got: Option<Value>| {
-        CompileFailure::Compile(specframe::core::CompileError {
-            function: String::new(),
-            pass: what.to_string(),
-            message: format!("MISCOMPILE: {what} result {got:?} != reference {expect:?}"),
-            fallback_exhausted: false,
+        (got != expect).then(|| {
+            let fail = CompileFailure::internal(
+                what,
+                format!("MISCOMPILE: {what} result {got:?} != reference {expect:?}"),
+            );
+            match &input_for_reduce {
+                Some(input) => reduce_and_report(&inv, input, &fail, true),
+                None => Err(fail),
+            }
         })
     };
-    if cli.run {
-        let (got, rs) = run(&m, &cli.entry, &cli.args, cli.fuel).map_err(|e| {
-            CompileFailure::Compile(specframe::core::CompileError {
-                function: String::new(),
-                pass: "run".into(),
-                message: format!("optimized run failed: {e}"),
-                fallback_exhausted: false,
-            })
-        })?;
-        if got != expect {
-            let fail = miscompile("run", got);
-            if cli.reduce {
-                return reduce_and_report(
-                    &cli,
-                    input_for_reduce.as_ref().unwrap(),
-                    &req,
-                    &fail,
-                    true,
-                );
-            }
-            return Err(fail);
+    if inv.run {
+        let (got, rs) = run(&m, &req.entry, &req.args, req.fuel)
+            .map_err(|e| CompileFailure::internal("run", format!("optimized run failed: {e}")))?;
+        if let Some(end) = miscompile("run", got) {
+            return end;
         }
         eprintln!(
             "result = {:?}  (loads {} checks {} stores {})",
             got, rs.loads, rs.check_loads, rs.stores
         );
     }
-    if cli.sim {
-        let sim_opts = specframe::pipeline::SimOptions {
-            taint_secret: cli.taint_secret.clone(),
-            fence_leaks: cli.fence_leaks,
-            target,
-        };
-        for policy in &cli.fault_policies {
+    if inv.sim {
+        let sim_opts = inv.sim_options().map_err(usage)?;
+        for policy in &inv.fault_policies {
             let (got, text) = specframe::pipeline::simulate_text_with(
-                &m, &cli.entry, &cli.args, cli.fuel, policy, &sim_opts,
+                &m, &req.entry, &req.args, req.fuel, policy, &sim_opts,
             )?;
-            if got != expect {
-                let fail = miscompile("sim", got);
-                if cli.reduce {
-                    return reduce_and_report(
-                        &cli,
-                        input_for_reduce.as_ref().unwrap(),
-                        &req,
-                        &fail,
-                        true,
-                    );
-                }
-                return Err(fail);
+            if let Some(end) = miscompile("sim", got) {
+                return end;
             }
             eprint!("{text}");
         }
     }
 
-    if cli.reduce {
+    if inv.reduce {
         eprintln!("specc: --reduce: nothing to reduce (no failure reproduced)");
     }
-    if !cli.run && !cli.sim || cli.out.is_some() {
-        emit(&cli, &specframe::ir::display::print_module(&m)).map_err(usage)?;
+    if !inv.run && !inv.sim || inv.out.is_some() {
+        emit(&inv, &specframe::ir::display::print_module(&m)).map_err(usage)?;
     }
     Ok(())
 }
@@ -814,11 +283,11 @@ fn real_main() -> Result<(), CompileFailure> {
 /// `specc cache stats|clear|verify`: cache maintenance over the directory
 /// named by `--cache-dir` / `SPECFRAME_CACHE_DIR`. `verify` exits 2 when
 /// any entry fails to decode — same family as input verification errors.
-fn run_cache_cmd(cli: &Cli) -> Result<(), CompileFailure> {
-    let dir = cli.cache_dir.as_ref().unwrap();
+fn run_cache_cmd(inv: &Invocation) -> Result<(), CompileFailure> {
+    let dir = inv.req.cache_dir.as_ref().unwrap();
     let cache = specframe::core::FuncCache::open(dir);
     let io_err = |e: std::io::Error| usage(format!("cache dir {}: {e}", dir.display()));
-    match cli.cache_cmd.as_deref().unwrap() {
+    match inv.cache_cmd.as_deref().unwrap() {
         "stats" => {
             let (entries, bytes) = cache.entry_stats().map_err(io_err)?;
             println!("cache {}: {entries} entries, {bytes} bytes", dir.display());
@@ -863,65 +332,22 @@ fn run_cache_cmd(cli: &Cli) -> Result<(), CompileFailure> {
 
 /// `--serve` / `--serve-queue`: run the compile service with this
 /// invocation's flags as the base request for every served compile.
-fn run_serve(cli: &Cli) -> Result<(), CompileFailure> {
-    let alias_profile = match &cli.alias_profile {
-        Some(path) => Some(
-            std::fs::read_to_string(path).map_err(|e| usage(format!("cannot read {path}: {e}")))?,
-        ),
-        None => None,
-    };
+fn run_serve(inv: Invocation) -> Result<(), CompileFailure> {
+    let mut base = inv.req;
     // the profile-guided defaults need a training run, which needs entry
     // arguments; a service session started without --args/--train-args
     // cannot provide them per request, so degrade to the self-contained
     // modes (exactly like `--mega` does) instead of failing every compile
-    let mut spec = cli.spec.clone();
-    let mut control = cli.control.clone();
-    if cli.args.is_empty() && cli.train_args.is_empty() {
-        if spec == "profile" {
-            spec = "heuristic".into();
-        }
-        if control == "profile" {
-            control = "static".into();
-        }
+    if base.args.is_empty() && base.train_args.as_ref().is_none_or(Vec::is_empty) {
+        base.degrade_untrained();
     }
+    // served compiles answer one status line; nothing renders the table
+    base.explain_spec = false;
     let cfg = ServeConfig {
-        base: CompileRequest {
-            entry: cli.entry.clone(),
-            args: cli.args.clone(),
-            train_args: Some(cli.train_args.clone()),
-            spec,
-            control,
-            target: cli.target.clone(),
-            strength_reduction: cli.sr,
-            lftr: cli.lftr,
-            store_sinking: cli.store_sinking,
-            explain_spec: false,
-            jobs: cli.jobs,
-            hooks: PipelineHooks {
-                dump_after: cli.dump_after,
-                stop_after: cli.stop_after,
-                inject_spec_fail: cli.inject_spec_fail.clone(),
-                inject_fallback_fail: cli.inject_fallback_fail.clone(),
-                verify_each: cli.verify_each,
-                audit_spec: cli.audit_spec,
-                inject_corrupt: cli.inject_corrupt.clone(),
-                audit_leaks: cli.audit_leaks,
-                fence_leaks: cli.fence_leaks,
-                cancel: Default::default(),
-            },
-            fuel: cli.fuel,
-            alias_profile,
-            cache_dir: cli.cache_dir.clone(),
-            cache_fault_policy: cli.cache_fault_policy.clone(),
-            cache_retries: cli.cache_retries,
-            // one health cell for the whole session: every served request
-            // clones the base, sharing the circuit breaker
-            cache_health: Default::default(),
-            deadline_ms: cli.deadline_ms,
-        },
-        verbose: cli.verbose,
+        base,
+        verbose: inv.verbose,
     };
-    match &cli.serve_queue {
+    match &inv.serve_queue {
         Some(dir) => {
             let rep = serve_queue(&cfg, dir)
                 .map_err(|e| usage(format!("serve queue {}: {e}", dir.display())))?;
@@ -945,26 +371,26 @@ fn run_serve(cli: &Cli) -> Result<(), CompileFailure> {
 /// fails the same way, and emit it (stdout or `-o`) under a `; reduce:`
 /// stats header. The repro is the product, so the process exits 0.
 fn reduce_and_report(
-    cli: &Cli,
+    inv: &Invocation,
     input: &specframe::ir::Module,
-    req: &specframe::pipeline::CompileRequest,
     failure: &CompileFailure,
     run_check: bool,
 ) -> Result<(), CompileFailure> {
+    let req = &inv.req;
     eprintln!("specc: {failure}");
     eprintln!("specc: --reduce: shrinking the failing input...");
-    let rc = run_check.then_some((cli.entry.as_str(), cli.args.as_slice(), cli.fuel));
+    let rc = run_check.then_some((req.entry.as_str(), req.args.as_slice(), req.fuel));
     let (red, stats) = specframe::pipeline::reduce_failure(input, req, failure, rc);
     let mut text = format!(
         "; reduce: {} probes, {} -> {} instructions\n",
         stats.probes, stats.initial_insts, stats.final_insts
     );
     text.push_str(&specframe::ir::display::print_module(&red));
-    emit(cli, &text).map_err(usage)
+    emit(inv, &text).map_err(usage)
 }
 
-fn emit(cli: &Cli, text: &str) -> Result<(), String> {
-    match &cli.out {
+fn emit(inv: &Invocation, text: &str) -> Result<(), String> {
+    match &inv.out {
         Some(path) => std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}")),
         None => {
             print!("{text}");

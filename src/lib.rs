@@ -105,11 +105,13 @@ pub use specframe_machine as machine;
 pub use specframe_profile as profile;
 pub use specframe_workloads as workloads;
 
+pub mod args;
 pub mod pipeline;
 pub mod serve;
 
 /// The most common imports in one place.
 pub mod prelude {
+    pub use crate::args::{Context, Emit, Invocation};
     pub use crate::pipeline::{
         compile, compile_module, reduce_failure, simulate_text, CompileFailure, CompileOutput,
         CompileRequest,

@@ -1,11 +1,12 @@
 //! One-call compile sessions over the speculative pipeline.
 //!
-//! `specc` and the `spectest` golden-test runner both need the same
-//! sequence — parse, verify, prepare, (optionally) profile on a training
-//! input, then run [`specframe_core::try_optimize_with_hooks`] — with the
-//! same flag vocabulary. This module is that shared seam, so a
-//! `; RUN: specc …` line in a golden test exercises exactly the code path
-//! the CLI does, without spawning a subprocess.
+//! `specc`, the `spectest` golden-test runner and the `--serve` loop all
+//! need the same sequence — parse, verify, prepare, (optionally) profile
+//! on a training input, then run [`specframe_core::try_optimize_cached`].
+//! This module is that shared seam; [`crate::args`] is the one flag table
+//! that builds its [`CompileRequest`], so a `; RUN: specc …` line in a
+//! golden test is a `specc` command and runs this same code path, without
+//! spawning a subprocess.
 //!
 //! Failures are classified by [`CompileFailure`] so the CLI can exit with
 //! a distinct code per family (usage 1, parse 2, compile 3, exhausted
@@ -14,6 +15,7 @@
 //! [`simulate_text`].
 
 use specframe_alias::AliasAnalysis;
+use specframe_analysis::EdgeProfile;
 use specframe_codegen::{lower_module_fenced_for, lower_module_for};
 use specframe_core::{
     cache::DEFAULT_RETRY_BUDGET, cancel::Watchdog, parse_store_fault_policy, prepare_module,
@@ -21,7 +23,9 @@ use specframe_core::{
     ControlSpec, FuncCache, OptOptions, OptReport, PassDump, PipelineConfig, PipelineHooks,
     SpecSource,
 };
-use specframe_hssa::{build_hssa, HOperand, HStmtKind, Likeliness, SiteQuery, SpecMode};
+use specframe_hssa::{
+    build_hssa, print_hssa, HOperand, HStmtKind, Likeliness, SiteQuery, SpecMode,
+};
 use specframe_ir::{parse_module, verify_module, FuncId, Module, Ty, Value};
 use specframe_machine::{
     leak_audit_program, parse_fault_policy, run_machine_taint_on, run_machine_with_policy_on,
@@ -122,6 +126,32 @@ impl Default for CompileRequest {
     }
 }
 
+impl CompileRequest {
+    /// The execution target [`CompileRequest::target`] names.
+    pub fn target_id(&self) -> Result<TargetId, CompileFailure> {
+        TargetId::parse(&self.target).ok_or_else(|| {
+            CompileFailure::Usage(format!(
+                "unknown --target `{}` (expected epic|swr)",
+                self.target
+            ))
+        })
+    }
+
+    /// Degrades the profile-guided modes for a compile that has no
+    /// training entry to run — the generated mega-module, or a service
+    /// session started without entry arguments: `profile` data
+    /// speculation becomes `heuristic`, `profile` control speculation
+    /// becomes `static`.
+    pub fn degrade_untrained(&mut self) {
+        if self.spec == "profile" {
+            self.spec = "heuristic".into();
+        }
+        if self.control == "profile" {
+            self.control = "static".into();
+        }
+    }
+}
+
 /// A failed compile session, classified for exit-code purposes.
 #[derive(Debug, Clone)]
 pub enum CompileFailure {
@@ -150,7 +180,7 @@ impl CompileFailure {
     }
 
     /// Wraps a pipeline-level error that is not tied to one function.
-    fn internal(pass: &str, message: String) -> Self {
+    pub fn internal(pass: &str, message: String) -> Self {
         CompileFailure::Compile(CompileError {
             function: String::new(),
             pass: pass.to_string(),
@@ -208,6 +238,121 @@ pub fn compile(src: &str, req: &CompileRequest) -> Result<CompileOutput, Compile
     compile_module(m, req)
 }
 
+/// Where a request's likeliness comes from on one prepared module (paper
+/// Figure 3's profile and heuristic boxes): the alias profile, supplied or
+/// trained, the trained edge profile, and the diagnostics of any
+/// degradation on the way.
+struct Sources<'r> {
+    /// The data speculation mode after any degradation.
+    spec: &'r str,
+    aprof: Option<AliasProfile>,
+    eprof: Option<EdgeProfile>,
+    warnings: Vec<CompileDiag>,
+}
+
+impl<'r> Sources<'r> {
+    /// Ingests the request's alias profile, or runs one training run when
+    /// a profile-guided mode still needs it.
+    fn resolve(m: &Module, req: &'r CompileRequest) -> Result<Self, CompileFailure> {
+        let mut src = Sources {
+            spec: &req.spec,
+            aprof: None,
+            eprof: None,
+            warnings: Vec::new(),
+        };
+        if let (Some(text), "profile") = (&req.alias_profile, src.spec) {
+            match parse_alias_profile(text, m) {
+                Ok(p) => src.aprof = Some(p),
+                Err(e) => {
+                    // §3.2: without a usable profile the framework falls
+                    // back to the speculative alias heuristics.
+                    src.warnings.push(CompileDiag {
+                        function: String::new(),
+                        pass: "alias-profile".into(),
+                        message: format!(
+                            "alias profile unusable ({e}); \
+                             falling back to heuristic speculation rules"
+                        ),
+                    });
+                    src.spec = "heuristic";
+                }
+            }
+        }
+        let needs_profile =
+            (src.spec == "profile" && src.aprof.is_none()) || req.control == "profile";
+        if needs_profile {
+            if m.func_by_name(&req.entry).is_none() {
+                return Err(CompileFailure::Usage(format!(
+                    "profile-guided compile needs entry function `{}`",
+                    req.entry
+                )));
+            }
+            let train = req.train_args.as_ref().unwrap_or(&req.args);
+            let mut ap = AliasProfiler::new();
+            let mut ep = EdgeProfiler::new();
+            {
+                let mut obs = specframe_profile::observer::Compose(vec![&mut ap, &mut ep]);
+                run_with(m, &req.entry, train, req.fuel, &mut obs).map_err(|e| {
+                    CompileFailure::internal("profile", format!("profiling run failed: {e}"))
+                })?;
+            }
+            src.aprof.get_or_insert_with(|| ap.finish());
+            src.eprof = Some(ep.finish());
+        }
+        Ok(src)
+    }
+
+    fn data(&self) -> Result<SpecSource<'_>, CompileFailure> {
+        Ok(match self.spec {
+            "none" => SpecSource::None,
+            "profile" => SpecSource::Profile(self.aprof.as_ref().unwrap()),
+            "heuristic" => SpecSource::Heuristic,
+            "aggressive" => SpecSource::Aggressive,
+            other => return Err(CompileFailure::Usage(format!("unknown --spec `{other}`"))),
+        })
+    }
+
+    fn control(&self, req: &CompileRequest) -> Result<ControlSpec<'_>, CompileFailure> {
+        Ok(match req.control.as_str() {
+            "off" => ControlSpec::Off,
+            "profile" => ControlSpec::Profile(self.eprof.as_ref().unwrap()),
+            "static" => ControlSpec::Static,
+            other => {
+                return Err(CompileFailure::Usage(format!(
+                    "unknown --control `{other}`"
+                )))
+            }
+        })
+    }
+}
+
+/// The `specc --emit hssa` product: the speculative SSA dump of every
+/// function before optimization, built under the speculation mode the
+/// request resolves to (the same profile ingestion, training run and
+/// degradation as [`compile_module`]). Returns the dump and the
+/// degradation warnings.
+pub fn render_hssa(
+    mut m: Module,
+    req: &CompileRequest,
+) -> Result<(String, Vec<CompileDiag>), CompileFailure> {
+    prepare_module(&mut m);
+    // the dump precedes control speculation, so no edge profile is needed
+    let req = CompileRequest {
+        control: "off".into(),
+        ..req.clone()
+    };
+    let src = Sources::resolve(&m, &req)?;
+    let mode = src.data()?.mode();
+    let aa = AliasAnalysis::analyze(&m);
+    let mut out = String::new();
+    for fi in 0..m.funcs.len() {
+        let hf = build_hssa(&m, FuncId::from_index(fi), &aa, mode);
+        out.push_str(&print_hssa(&m, &hf));
+        out.push('\n');
+    }
+    Ok((out, src.warnings))
+}
+
 /// Runs the speculative pipeline over an already-verified module:
 /// critical-edge preparation, alias-profile ingestion or a profiling
 /// interpreter run when a profile-guided mode is requested, then the
@@ -217,97 +362,16 @@ pub fn compile_module(
     req: &CompileRequest,
 ) -> Result<CompileOutput, CompileFailure> {
     prepare_module(&mut m);
-
-    let target = TargetId::parse(&req.target).ok_or_else(|| {
-        CompileFailure::Usage(format!(
-            "unknown --target `{}` (expected epic|swr)",
-            req.target
-        ))
-    })?;
-
-    // Degradation diagnostics raised before the optimizer runs; prepended
-    // to the report's warning list afterwards.
-    let mut pre_warnings: Vec<CompileDiag> = Vec::new();
-
-    let mut spec = req.spec.as_str();
-    let mut aprof: Option<AliasProfile> = None;
-    if spec == "profile" {
-        if let Some(text) = &req.alias_profile {
-            match parse_alias_profile(text, &m) {
-                Ok(p) => aprof = Some(p),
-                Err(e) => {
-                    // §3.2: without a usable profile the framework falls
-                    // back to the speculative alias heuristics.
-                    pre_warnings.push(CompileDiag {
-                        function: String::new(),
-                        pass: "alias-profile".into(),
-                        message: format!(
-                            "alias profile unusable ({e}); \
-                             falling back to heuristic speculation rules"
-                        ),
-                    });
-                    spec = "heuristic";
-                }
-            }
-        }
-    }
-
-    // profiling run, when a profile-guided mode still needs one
-    let needs_profile = (spec == "profile" && aprof.is_none()) || req.control == "profile";
-    let mut eprof = None;
-    if needs_profile {
-        if m.func_by_name(&req.entry).is_none() {
-            return Err(CompileFailure::Usage(format!(
-                "profile-guided compile needs entry function `{}`",
-                req.entry
-            )));
-        }
-        let train = req.train_args.as_ref().unwrap_or(&req.args);
-        let mut ap = AliasProfiler::new();
-        let mut ep = EdgeProfiler::new();
-        {
-            let mut obs = specframe_profile::observer::Compose(vec![&mut ap, &mut ep]);
-            run_with(&m, &req.entry, train, req.fuel, &mut obs).map_err(|e| {
-                CompileFailure::internal("profile", format!("profiling run failed: {e}"))
-            })?;
-        }
-        if aprof.is_none() {
-            aprof = Some(ap.finish());
-        }
-        eprof = Some(ep.finish());
-    }
-
-    let data = match spec {
-        "none" => SpecSource::None,
-        "profile" => SpecSource::Profile(aprof.as_ref().unwrap()),
-        "heuristic" => SpecSource::Heuristic,
-        "aggressive" => SpecSource::Aggressive,
-        other => return Err(CompileFailure::Usage(format!("unknown --spec `{other}`"))),
-    };
-    let control = match req.control.as_str() {
-        "off" => ControlSpec::Off,
-        "profile" => ControlSpec::Profile(eprof.as_ref().unwrap()),
-        "static" => ControlSpec::Static,
-        other => {
-            return Err(CompileFailure::Usage(format!(
-                "unknown --control `{other}`"
-            )))
-        }
-    };
+    let target = req.target_id()?;
+    let src = Sources::resolve(&m, req)?;
+    let data = src.data()?;
+    let control = src.control(req)?;
 
     // the decision table reflects construction-time verdicts, so render it
     // on the prepared module before the optimizer consumes the flags
-    let explain = if req.explain_spec {
-        let mode = match data {
-            SpecSource::None => SpecMode::NoSpeculation,
-            SpecSource::Profile(p) => SpecMode::Profile(p),
-            SpecSource::Heuristic => SpecMode::Heuristic,
-            SpecSource::Aggressive => SpecMode::Aggressive,
-        };
-        Some(render_explain_spec(&m, mode, target))
-    } else {
-        None
-    };
+    let explain = req
+        .explain_spec
+        .then(|| render_explain_spec(&m, data.mode(), target));
 
     // per-request deadline: a cooperative token on the hooks, plus a
     // watchdog thread that trips it the moment the clock runs out (joined
@@ -351,10 +415,14 @@ pub fn compile_module(
         &hooks,
         fcache.as_ref(),
     )?;
-    if !pre_warnings.is_empty() {
-        pre_warnings.append(&mut report.warnings);
-        report.warnings = pre_warnings;
-    }
+    // degradation diagnostics raised before the optimizer ran come first
+    let Sources {
+        aprof,
+        mut warnings,
+        ..
+    } = src;
+    warnings.append(&mut report.warnings);
+    report.warnings = warnings;
     Ok(CompileOutput {
         module: m,
         report,

@@ -27,7 +27,9 @@
 //!   stale cache `.tmp-*` debris left by a crashed writer.
 //!
 //! Request grammar (tokens are whitespace-separated; blank lines and
-//! `#` comments are skipped):
+//! `#` comments are skipped; the tokens after PATH/SEED are parsed by the
+//! flag table of [`crate::args`] in its serve context, which accepts `-o`
+//! and `--deadline-ms`):
 //!
 //! ```text
 //! compile PATH [-o OUT] [--deadline-ms N]  # compile the module file at PATH
@@ -51,6 +53,7 @@
 //! OUT when `-o` is given and is never printed to the response stream —
 //! the protocol stays line-oriented.
 
+use crate::args::{parse_mega, Context, Invocation};
 use crate::pipeline::{compile_module, CompileFailure, CompileOutput, CompileRequest};
 use specframe_core::{crashpoint, FuncCache};
 use specframe_ir::display::print_module;
@@ -243,41 +246,20 @@ fn handle_compile(cfg: &ServeConfig, cmd: &str, tokens: &[&str], response: &mut 
         return;
     };
     let input_label = format!("{cmd}:{arg}");
-    let mut out_path: Option<&str> = None;
-    let mut deadline_ms: Option<u64> = None;
-    let mut rest = tokens[2..].iter();
-    while let Some(&t) = rest.next() {
-        match t {
-            "-o" => match rest.next() {
-                Some(&p) => out_path = Some(p),
-                None => {
-                    respond_err(response, &input_label, 1, "-o needs a path");
-                    return;
-                }
-            },
-            "--deadline-ms" => match rest.next().and_then(|n| n.parse::<u64>().ok()) {
-                Some(n) => deadline_ms = Some(n),
-                None => {
-                    respond_err(response, &input_label, 1, "--deadline-ms needs a number");
-                    return;
-                }
-            },
-            other => {
-                respond_err(
-                    response,
-                    &input_label,
-                    1,
-                    &format!("unknown token `{other}`"),
-                );
-                return;
-            }
-        }
+    // the request's own tokens (`-o`, `--deadline-ms`) over the base
+    let mut inv = Invocation {
+        req: cfg.base.clone(),
+        ..Invocation::default()
+    };
+    if let Err(e) = inv.apply(Context::Serve, &tokens[2..]) {
+        respond_err(response, &input_label, 1, &e);
+        return;
     }
 
     let t0 = Instant::now();
     let result = match cmd {
-        "compile" => compile_file(cfg, arg, deadline_ms),
-        _ => compile_mega(cfg, arg, deadline_ms),
+        "compile" => compile_file(&inv.req, arg),
+        _ => compile_mega(&inv.req, arg),
     };
     match result {
         // the deadline response is a fixed shape: the service stays up,
@@ -286,7 +268,7 @@ fn handle_compile(cfg: &ServeConfig, cmd: &str, tokens: &[&str], response: &mut 
         Err(e) => respond_err(response, &input_label, e.exit_code(), &e.to_string()),
         Ok(out) => {
             let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-            if let Some(p) = out_path {
+            if let Some(p) = &inv.out {
                 if let Err(e) = std::fs::write(p, print_module(&out.module)) {
                     respond_err(response, &input_label, 3, &format!("writing {p}: {e}"));
                     return;
@@ -319,53 +301,18 @@ fn handle_compile(cfg: &ServeConfig, cmd: &str, tokens: &[&str], response: &mut 
     }
 }
 
-/// The base request adapted with one request's `--deadline-ms` token.
-fn with_deadline(cfg: &ServeConfig, deadline_ms: Option<u64>) -> CompileRequest {
-    let mut req = cfg.base.clone();
-    if deadline_ms.is_some() {
-        req.deadline_ms = deadline_ms;
-    }
-    req
-}
-
-fn compile_file(
-    cfg: &ServeConfig,
-    path: &str,
-    deadline_ms: Option<u64>,
-) -> Result<CompileOutput, CompileFailure> {
+fn compile_file(req: &CompileRequest, path: &str) -> Result<CompileOutput, CompileFailure> {
     let src = std::fs::read_to_string(path)
         .map_err(|e| CompileFailure::Usage(format!("reading {path}: {e}")))?;
-    crate::pipeline::compile(&src, &with_deadline(cfg, deadline_ms))
+    crate::pipeline::compile(&src, req)
 }
 
-fn compile_mega(
-    cfg: &ServeConfig,
-    arg: &str,
-    deadline_ms: Option<u64>,
-) -> Result<CompileOutput, CompileFailure> {
-    let (seed, funcs) = match arg.split_once(':') {
-        Some((s, n)) => (s, Some(n)),
-        None => (arg, None),
-    };
-    let seed: u64 = seed
-        .parse()
-        .map_err(|_| CompileFailure::Usage(format!("bad mega seed `{seed}`")))?;
-    let funcs: usize = match funcs {
-        None => 1000,
-        Some(n) => n
-            .parse()
-            .map_err(|_| CompileFailure::Usage(format!("bad mega function count `{n}`")))?,
-    };
+fn compile_mega(req: &CompileRequest, arg: &str) -> Result<CompileOutput, CompileFailure> {
+    let (seed, funcs) = parse_mega(arg).map_err(CompileFailure::Usage)?;
     let m = specframe_workloads::mega_module(seed, funcs);
-    let mut req = with_deadline(cfg, deadline_ms);
-    // the synthetic module has no profiling entry point; degrade the
-    // profile-guided modes exactly like `specc --mega` does
-    if req.spec == "profile" {
-        req.spec = "heuristic".into();
-    }
-    if req.control == "profile" {
-        req.control = "static".into();
-    }
+    // the synthetic module has no profiling entry point
+    let mut req = req.clone();
+    req.degrade_untrained();
     compile_module(m, &req)
 }
 
@@ -474,13 +421,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&base);
         std::fs::create_dir_all(&base).unwrap();
         let clean = cfg_with_cache(None);
-        let reference = compile_mega(&clean, "5:8", None).unwrap();
+        let reference = compile_mega(&clean.base, "5:8").unwrap();
         let want = print_module(&reference.module);
         for policy in ["enospc:2", "eio-read:7:2", "torn-write:2"] {
             let mut cfg = cfg_with_cache(Some(base.join(policy.replace(':', "_"))));
             cfg.base.cache_fault_policy = Some(policy.into());
             for round in 0..2 {
-                let out = compile_mega(&cfg, "5:8", None)
+                let out = compile_mega(&cfg.base, "5:8")
                     .unwrap_or_else(|e| panic!("{policy} round {round}: {e}"));
                 assert_eq!(
                     print_module(&out.module),

@@ -289,6 +289,57 @@ fn out_of_range_declared_sizes_are_parse_errors() {
 }
 
 #[test]
+fn plain_compile_of_a_huge_global_runs_no_interpreter() {
+    // 4294967295 words is the largest size that parses; only an
+    // interpreter run zero-fills it, and a plain compile runs none
+    let input = tempfile_path::TempPath::new(
+        "specc_huge_global",
+        ".ir",
+        "global b: i64[4294967295]\n\nfunc main() -> i64 {\nentry:\n  ret 0\n}\n",
+    );
+    let t0 = std::time::Instant::now();
+    // the address-space cap turns a regression into a failed allocation
+    // instead of exhausting the machine's memory
+    let out = Command::new("sh")
+        .args(["-c", "ulimit -v 4000000 && exec \"$0\" \"$@\""])
+        .arg(env!("CARGO_BIN_EXE_specc"))
+        .args([input.as_str(), "--spec", "heuristic", "--control", "static"])
+        .args(["--jobs", "1", "-o", "/dev/null"])
+        .output()
+        .expect("spawn specc");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(t0.elapsed() < std::time::Duration::from_secs(5));
+}
+
+#[test]
+fn module_without_main_compiles_only_without_profile_modes() {
+    let input = tempfile_path::TempPath::new(
+        "specc_no_main",
+        ".ir",
+        "func f(a: i64) -> i64 {\nentry:\n  ret a\n}\n",
+    );
+    let out = specc()
+        .args([input.as_str(), "--spec", "heuristic", "--control", "static"])
+        .output()
+        .expect("spawn specc");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("func f"));
+    // the defaults are profile-guided, and profiling needs the entry
+    let out = specc().arg(input.as_str()).output().expect("spawn specc");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr)
+        .contains("profile-guided compile needs entry function `main`"));
+}
+
+#[test]
 fn unknown_flag_reports_usage() {
     let out = specc().arg("--frobnicate").output().expect("spawn specc");
     // usage errors are exit-code family 1
